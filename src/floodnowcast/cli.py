@@ -32,16 +32,13 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError, TrainingDiverged, UsageError
-from .graph import RegionGraph, load_nodes_csv, save_adjacency_csv
-from .metrics import MetricsReport, confusion, macro_metrics
+from .graph import RegionGraph, build_adjacency, load_nodes_csv, save_adjacency_csv
 from .model import (
     ABLATIONS,
     ModelConfig,
-    forward,
+    forward,  # unused here; kept importable where instrumentation wraps it
     load_weights,
     read_weights_header,
     save_weights,
@@ -51,11 +48,13 @@ from .scenario import ScenarioConfig, generate, physics_only
 from .training import (
     TrainConfig,
     evaluate_windows,
+    fit_windows,
     make_windows,
     model_gradient_check,
+    predict_windows,
     train,
     tune,
-    window_batch,
+    window_batch,  # unused here; kept importable where instrumentation wraps it
 )
 
 log = logging.getLogger(__name__)
@@ -192,8 +191,8 @@ def cmd_prepare(args, argv) -> int:
     src_nodes = Path(args.scenario) / "nodes.csv"
     if Path(args.scenario).resolve() != out.resolve():
         shutil.copyfile(src_nodes, out / "nodes.csv")
-    graph = RegionGraph.build(load_nodes_csv(out / "nodes.csv"))
-    save_adjacency_csv(graph, out / "adjacency.csv")
+    nodes = load_nodes_csv(out / "nodes.csv")
+    save_adjacency_csv([n.id for n in nodes], build_adjacency(nodes), out / "adjacency.csv")
     run.finish()
     print(f"dataset prepared: {ft.n_nodes} nodes x {ft.n_steps} steps, "
           f"train span {ft.train_steps}")
@@ -216,6 +215,10 @@ def cmd_train(args, argv) -> int:
     mc_probe = _model_config(model_section, n_nodes=1, seed=train_cfg.seed)
     ft, graph = _load_prepared(args.dataset, args.channels, mc_probe.k, args.ablation)
     model_cfg = _model_config(model_section, n_nodes=ft.n_nodes, seed=train_cfg.seed)
+    split = train_cfg.split_step if train_cfg.split_step is not None else ft.train_steps
+    _, test_ends = make_windows(ft, model_cfg.t_in, model_cfg.horizon, split)
+    if len(test_ends) == 0:
+        raise UsageError("no test windows after the split; nothing to score")
 
     out = _out_dir(args)
     run = _Run("train", out, argv, [args.config],
@@ -228,17 +231,9 @@ def cmd_train(args, argv) -> int:
     save_weights(params, out / "weights.bin",
                  extra={"ablation": args.ablation, "channels": args.channels})
     history.to_csv(out / "history.csv")
-
-    split = train_cfg.split_step if train_cfg.split_step is not None else ft.train_steps
-    _, test_ends = make_windows(ft, model_cfg.t_in, model_cfg.horizon, split)
-    if len(test_ends) == 0:
-        raise UsageError("no test windows after the split; nothing to score")
-    report, _ = evaluate_windows(ft, graph, params, test_ends, model_cfg.horizon,
-                                 ablation=args.ablation)
+    report, cm, _ = evaluate_windows(ft, graph, params, test_ends, ablation=args.ablation)
     report.to_json(out / "metrics.json")
-    preds, labels = _split_predictions(ft, graph, params, test_ends, model_cfg,
-                                       args.ablation)
-    confusion(preds, labels).to_csv(out / "confusion.csv")
+    cm.to_csv(out / "confusion.csv")
     run.finish()
     print(f"best epoch {history.best_epoch}; test macro-F1 {report.macro_f1:.4f}, "
           f"accuracy {report.accuracy:.4f}")
@@ -289,24 +284,15 @@ def _resolve_eval(args):
     if params.config.n_nodes != ft.n_nodes:
         raise UsageError(f"weights expect {params.config.n_nodes} nodes, "
                          f"dataset has {ft.n_nodes}")
-    split = ft.train_steps
-    train_ends, test_ends = make_windows(ft, params.config.t_in,
-                                         params.config.horizon, split)
-    ends = train_ends if args.split == "train" else test_ends
+    cfg = params.config
+    if args.split == "train":
+        ends, _ = fit_windows(ft, cfg.t_in, cfg.horizon, ft.train_steps,
+                              TrainConfig().validation_fraction)
+    else:
+        _, ends = make_windows(ft, cfg.t_in, cfg.horizon, ft.train_steps)
     if len(ends) == 0:
         raise UsageError(f"no {args.split} windows in this dataset")
     return ft, graph, params, ends, ablation
-
-
-def _split_predictions(ft, graph, params, ends, model_cfg, ablation):
-    preds, labels = [], []
-    for i in range(0, len(ends), 64):
-        chunk = ends[i:i + 64]
-        xs, ys = window_batch(ft, chunk, model_cfg.t_in, model_cfg.horizon)
-        logits, _ = forward(xs, graph, params, training=False, ablation=ablation)
-        preds.append(np.argmax(logits.data, axis=-1).ravel())
-        labels.append(ys.ravel())
-    return np.concatenate(preds), np.concatenate(labels)
 
 
 def cmd_evaluate(args, argv) -> int:
@@ -315,11 +301,9 @@ def cmd_evaluate(args, argv) -> int:
     run = _Run("evaluate", out, argv, seeds={"split": args.split})
     run.add_input(args.weights)
     run.add_input_dir(args.dataset)
-    report, loss = evaluate_windows(ft, graph, params, ends,
-                                    params.config.horizon, ablation=ablation)
+    report, cm, _ = evaluate_windows(ft, graph, params, ends, ablation=ablation)
     report.to_json(out / "metrics.json")
-    preds, labels = _split_predictions(ft, graph, params, ends, params.config, ablation)
-    confusion(preds, labels).to_csv(out / "confusion.csv")
+    cm.to_csv(out / "confusion.csv")
     run.finish()
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -331,25 +315,21 @@ def cmd_predict(args, argv) -> int:
     run = _Run("predict", out, argv, seeds={"split": args.split})
     run.add_input(args.weights)
     run.add_input_dir(args.dataset)
-    cfg = params.config
+    scored = predict_windows(ft, graph, params, ends, ablation)
     with open(out / "predictions.csv", "w") as fh:
         fh.write("node_id,timestep,prob_no,prob_moderate,prob_severe,pred_class\n")
-        for i in range(0, len(ends), 64):
-            chunk = ends[i:i + 64]
-            xs, _ = window_batch(ft, chunk, cfg.t_in, cfg.horizon)
-            _, probs = forward(xs, graph, params, training=False, ablation=ablation)
-            for b, t_end in enumerate(chunk):
-                step = int(t_end + cfg.horizon)
-                for n, node_id in enumerate(ft.node_ids):
-                    p = [float(v) for v in probs.data[b, n]]
-                    fh.write(f"{node_id},{step},{p[0]!r},{p[1]!r},{p[2]!r},"
-                             f"{int(np.argmax(p))}\n")
+        for t_end, probs, preds in zip(ends, scored.probs.tolist(), scored.preds.tolist()):
+            step = int(t_end + params.config.horizon)
+            for node_id, (p0, p1, p2), k in zip(ft.node_ids, probs, preds):
+                fh.write(f"{node_id},{step},{p0!r},{p1!r},{p2!r},{k}\n")
     run.finish()
     print(f"predictions for {len(ends)} windows written to {out / 'predictions.csv'}")
     return 0
 
 
 def cmd_gradcheck(args, argv) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     worst_overall = 0.0
     results = {}
     for i in range(args.seeds):
@@ -412,7 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--dataset", required=True)
         p.add_argument("--weights", required=True)
-        p.add_argument("--split", choices=("train", "test"), default="test")
+        p.add_argument("--split", choices=("train", "test"), default="test",
+                       help="train: the training span's gradient windows")
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of model gradients")

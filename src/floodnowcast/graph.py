@@ -404,15 +404,14 @@ def load_nodes_csv(path: str | Path) -> list[UnitNode]:
     return nodes
 
 
-def save_adjacency_csv(graph: RegionGraph, path: str | Path) -> None:
+def save_adjacency_csv(ids: Sequence[str], adjacency: np.ndarray, path: str | Path) -> None:
     """Write nonzero upper-triangle edges as `id_i,id_j,weight`."""
-    ids = graph.node_ids
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id_i", "id_j", "weight"])
-        n = graph.n_nodes
+        n = len(ids)
         for i in range(n):
             for j in range(i + 1, n):
-                w = graph.adjacency[i, j]
+                w = adjacency[i, j]
                 if w != 0.0:
                     writer.writerow([ids[i], ids[j], repr(float(w))])

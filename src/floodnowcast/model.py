@@ -375,21 +375,26 @@ def save_weights(params: ModelParams, path: str | Path,
         fh.write(payload)
 
 
-def read_weights_header(path: str | Path) -> dict:
-    """The JSON header of a weights file, without loading the payload."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-    if header.get("format") != _WEIGHTS_FORMAT:
+def _parse_weights_header(line: bytes, path: str | Path) -> dict:
+    try:
+        header = json.loads(line.decode())
+    except ValueError as exc:     # JSONDecodeError and UnicodeDecodeError
+        raise UsageError(f"{path} has no JSON weights header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != _WEIGHTS_FORMAT:
         raise UsageError(f"{path} is not a weights file")
     return header
 
 
+def read_weights_header(path: str | Path) -> dict:
+    """The JSON header of a weights file, without loading the payload."""
+    with open(path, "rb") as fh:
+        return _parse_weights_header(fh.readline(), path)
+
+
 def load_weights(path: str | Path) -> ModelParams:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        header = _parse_weights_header(fh.readline(), path)
         payload = fh.read()
-    if header.get("format") != _WEIGHTS_FORMAT:
-        raise UsageError(f"{path} is not a weights file")
     if header.get("version") != _WEIGHTS_VERSION:
         raise UsageError(f"unsupported weights version {header.get('version')}")
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:

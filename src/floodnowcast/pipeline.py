@@ -592,14 +592,20 @@ def save_dataset(ft: FeatureTensor, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> FeatureTensor:
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.readline().decode().split()
-        if len(header) != 5 or header[0] != _DATASET_MAGIC:
-            raise UsageError(f"{path} is not a dataset container")
-        if int(header[1]) != _DATASET_VERSION:
-            raise UsageError(f"unsupported dataset version {header[1]}")
-        n, c, t = (int(v) for v in header[2:])
-        values = np.frombuffer(fh.read(n * c * t * 8), dtype="<f8").reshape(n, c, t).copy()
-        labels = np.frombuffer(fh.read(n * t), dtype=np.uint8).reshape(n, t).astype(np.int64)
+        header = fh.readline().decode(errors="replace").split()
+        payload = fh.read()
+    if (len(header) != 5 or header[0] != _DATASET_MAGIC
+            or not all(v.isdecimal() for v in header[1:])):
+        raise UsageError(f"{path} is not a dataset container")
+    version, n, c, t = (int(v) for v in header[1:])
+    if version != _DATASET_VERSION:
+        raise UsageError(f"unsupported dataset version {version}")
+    size = n * c * t * 8
+    if len(payload) != size + n * t:
+        raise UsageError(f"{path} payload is {len(payload)} bytes; its header "
+                         f"({n} x {c} x {t}) needs {size + n * t}")
+    values = np.frombuffer(payload, dtype="<f8", count=n * c * t).reshape(n, c, t).copy()
+    labels = np.frombuffer(payload, dtype=np.uint8, offset=size).reshape(n, t).astype(np.int64)
     with open(str(path) + ".json") as fh:
         sidecar = json.load(fh)
     grid = TimeGrid(start=parse_utc(sidecar["grid"]["start"]),

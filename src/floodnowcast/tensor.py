@@ -546,9 +546,6 @@ class Tape:
             t = tensors[key]
             t.grad = np.broadcast_to(g, t.data.shape).copy() if g.shape != t.data.shape else g
 
-    def clear(self) -> None:
-        self._entries.clear()
-
 
 # -- verification -----------------------------------------------------------
 

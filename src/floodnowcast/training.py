@@ -23,13 +23,13 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, TrainingDiverged, UsageError
 from .graph import RegionGraph
-from .metrics import MetricsReport, confusion, macro_metrics
+from .metrics import ConfusionMatrix, MetricsReport, confusion, macro_metrics
 from .model import (
     ModelConfig,
     ModelParams,
@@ -48,7 +48,10 @@ __all__ = [
     "cross_entropy",
     "inverse_frequency_weights",
     "make_windows",
+    "fit_windows",
     "window_batch",
+    "WindowPredictions",
+    "predict_windows",
     "train",
     "evaluate_windows",
     "tune",
@@ -99,11 +102,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """Eval-mode scores after one epoch: ``train_*`` over the gradient windows
+    the optimizer fits, ``val_*`` over the validation windows."""
+
     epoch: int
     train_loss: float
     train_acc: float
     val_macro_f1: float
     val_loss: float
+    val_acc: float
 
 
 @dataclass
@@ -115,9 +122,10 @@ class TrainHistory:
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            fh.write("epoch,train_loss,train_acc,val_macro_f1\n")
+            fh.write("epoch,train_loss,train_acc,val_macro_f1,val_loss,val_acc\n")
             for r in self.rows:
-                fh.write(f"{r.epoch},{r.train_loss!r},{r.train_acc!r},{r.val_macro_f1!r}\n")
+                fh.write(f"{r.epoch},{r.train_loss!r},{r.train_acc!r},{r.val_macro_f1!r},"
+                         f"{r.val_loss!r},{r.val_acc!r}\n")
 
 
 # -- loss ------------------------------------------------------------------------
@@ -184,6 +192,21 @@ def make_windows(dataset: FeatureTensor, t_in: int, horizon: int, split: int
     return _window_ends(dataset.n_steps, t_in, horizon, split)
 
 
+def fit_windows(dataset: FeatureTensor, t_in: int, horizon: int, split: int,
+                validation_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and validation window ends of the training span.
+
+    The last ``validation_fraction`` of the span (at least one step) is the
+    validation stretch: validation windows end inside it, gradient windows
+    keep their label strictly before it, and windows straddling its start
+    belong to neither set.
+    """
+    outer_train, _ = make_windows(dataset, t_in, horizon, split)
+    val_boundary = split - max(1, int(round(validation_fraction * split)))
+    return (outer_train[outer_train + horizon <= val_boundary - 1],
+            outer_train[outer_train >= val_boundary])
+
+
 def window_batch(dataset: FeatureTensor, ends: np.ndarray, t_in: int, horizon: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Materialize (B, N, C, t_in) inputs and (B, N) labels for window ends."""
@@ -238,37 +261,51 @@ def _restore(config: ModelConfig, snap: list[np.ndarray]) -> ModelParams:
 # -- evaluation ---------------------------------------------------------------------
 
 
-def _eval_pass(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
-               ends: np.ndarray, horizon: int, ablation: str
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eval-mode per-window losses (uniform weights), predictions and labels."""
-    t_in = params.config.t_in
-    n = dataset.n_nodes
-    losses = np.empty(len(ends))
-    preds = np.empty((len(ends), n), dtype=np.int64)
-    labels = np.empty((len(ends), n), dtype=np.int64)
+class WindowPredictions(NamedTuple):
+    """Eval-mode outputs of a set of windows, one row per window."""
+
+    probs: np.ndarray    # (W, N, 3) class probabilities
+    preds: np.ndarray    # (W, N) most probable class
+    labels: np.ndarray   # (W, N) true class at window end + horizon
+    nll: np.ndarray      # (W,) uniform-weight cross-entropy, mean over nodes
+
+
+def predict_windows(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
+                    ends: np.ndarray, ablation: str = "none") -> WindowPredictions:
+    """The single eval path: one eval-mode ``forward`` per window, in batches
+    of ``EVAL_BATCH``. History, metrics, confusion matrices and prediction
+    files are all read off the returned arrays."""
+    if len(ends) == 0:
+        raise UsageError("no windows to score")
+    batches = []
     for i in range(0, len(ends), EVAL_BATCH):
-        chunk = ends[i:i + EVAL_BATCH]
-        xs, ys = window_batch(dataset, chunk, t_in, horizon)
-        logits, _ = forward(xs, graph, params, training=False, ablation=ablation)
+        xs, ys = window_batch(dataset, ends[i:i + EVAL_BATCH], params.config.t_in,
+                              params.config.horizon)
+        logits, probs = forward(xs, graph, params, training=False, ablation=ablation)
         z = logits.data - logits.data.max(axis=-1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         nll = -np.take_along_axis(logp, ys[..., None], axis=-1)[..., 0]
-        losses[i:i + len(chunk)] = nll.mean(axis=1)
-        preds[i:i + len(chunk)] = np.argmax(logits.data, axis=-1)
-        labels[i:i + len(chunk)] = ys
-    return losses, preds, labels
+        batches.append((probs.data, np.argmax(probs.data, axis=-1), ys, nll.mean(axis=1)))
+    return WindowPredictions(*(np.concatenate(parts) for parts in zip(*batches)))
+
+
+def _eval_pass(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
+               grad_ends: np.ndarray, val_ends: np.ndarray, ablation: str
+               ) -> list[WindowPredictions]:
+    """End-of-epoch scoring: gradient and validation windows, each forwarded once."""
+    ends = np.union1d(grad_ends, val_ends)
+    scored = predict_windows(dataset, graph, params, ends, ablation)
+    return [WindowPredictions(*(a[mask] for a in scored))
+            for mask in (np.isin(ends, grad_ends), np.isin(ends, val_ends))]
 
 
 def evaluate_windows(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
-                     ends: np.ndarray, horizon: int,
-                     ablation: str = "none") -> tuple[MetricsReport, float]:
-    """Eval-mode metrics and (uniform-weight) loss over a set of windows."""
-    if len(ends) == 0:
-        raise UsageError("no windows to evaluate")
-    losses, preds, labels = _eval_pass(dataset, graph, params, ends, horizon, ablation)
-    report = macro_metrics(confusion(preds.ravel(), labels.ravel()))
-    return report, float(losses.mean())
+                     ends: np.ndarray, ablation: str = "none"
+                     ) -> tuple[MetricsReport, ConfusionMatrix, float]:
+    """Eval-mode metrics, confusion matrix and (uniform-weight) loss over windows."""
+    scored = predict_windows(dataset, graph, params, ends, ablation)
+    cm = confusion(scored.preds, scored.labels)
+    return macro_metrics(cm), cm, float(scored.nll.mean())
 
 
 # -- training -----------------------------------------------------------------------
@@ -281,9 +318,10 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
 
     ``model_config`` fixes architecture hyperparameters; its seed and dropout
     are overridden by the train config. Per-epoch history rows hold eval-mode
-    train loss/accuracy (over all training-span windows) and validation
-    macro-F1; the returned weights are those of the epoch with the highest
-    validation macro-F1 (earliest on ties).
+    loss and accuracy over the gradient windows and loss, accuracy and
+    macro-F1 over the validation windows (see :func:`fit_windows`); the
+    returned weights are those of the epoch with the highest validation
+    macro-F1 (earliest on ties).
     """
     split = config.split_step if config.split_step is not None else dataset.train_steps
     if model_config is None:
@@ -292,11 +330,8 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
                            seed=config.seed, dropout_rate=config.dropout_rate)
     t_in, horizon = model_config.t_in, model_config.horizon
 
-    outer_train, _ = make_windows(dataset, t_in, horizon, split)
-    val_span = max(1, int(round(config.validation_fraction * split)))
-    val_boundary = split - val_span
-    grad_ends = outer_train[outer_train + horizon <= val_boundary - 1]
-    val_ends = outer_train[outer_train >= val_boundary]
+    grad_ends, val_ends = fit_windows(dataset, t_in, horizon, split,
+                                      config.validation_fraction)
     if len(grad_ends) == 0:
         raise UsageError("training span too small: no gradient windows before "
                          "the validation stretch")
@@ -340,18 +375,15 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
         except DomainError as exc:
             raise TrainingDiverged(epoch, f"epoch {epoch}: {exc}") from exc
 
-        # one eval pass covers the whole training span; validation is a subset
-        losses, preds, labels = _eval_pass(dataset, graph, params, outer_train,
-                                           horizon, ablation)
-        val_mask = np.isin(outer_train, val_ends)
-        val_report = macro_metrics(confusion(preds[val_mask].ravel(),
-                                             labels[val_mask].ravel()))
+        fit, val = _eval_pass(dataset, graph, params, grad_ends, val_ends, ablation)
+        val_report = macro_metrics(confusion(val.preds, val.labels))
         history.rows.append(EpochStats(
             epoch=epoch,
-            train_loss=float(losses.mean()),
-            train_acc=float((preds == labels).mean()),
+            train_loss=float(fit.nll.mean()),
+            train_acc=float((fit.preds == fit.labels).mean()),
             val_macro_f1=val_report.macro_f1,
-            val_loss=float(losses[val_mask].mean())))
+            val_loss=float(val.nll.mean()),
+            val_acc=val_report.accuracy))
         if val_report.macro_f1 > best_f1:
             best_f1 = val_report.macro_f1
             best_snap = _snapshot(params)

@@ -226,8 +226,7 @@ SPLIT = 288
 
 def _train_and_score(dataset, graph, cfg, model_cfg, test_ends):
     params, history = train(dataset, graph, cfg, model_cfg)
-    report, _ = evaluate_windows(dataset, graph, params, test_ends,
-                                 model_cfg.horizon)
+    report, _, _ = evaluate_windows(dataset, graph, params, test_ends)
     return params, report
 
 

@@ -1,10 +1,15 @@
 import json
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floodnowcast.training as training
 from floodnowcast.cli import main
+from floodnowcast.pipeline import load_dataset
+from floodnowcast.training import fit_windows, make_windows, window_batch
 
 SCENARIO_CFG = {
     "n_nodes": 12, "n_timesteps": 96, "n_gauges": 4, "seed": 7,
@@ -85,7 +90,7 @@ def test_train_outputs_and_manifest(workspace):
     report = json.loads((run / "metrics.json").read_text())
     assert 0.0 <= report["macro_f1"] <= 1.0
     history = (run / "history.csv").read_text().splitlines()
-    assert history[0] == "epoch,train_loss,train_acc,val_macro_f1"
+    assert history[0] == "epoch,train_loss,train_acc,val_macro_f1,val_loss,val_acc"
     assert len(history) == 3  # 2 epochs
 
 
@@ -124,6 +129,9 @@ def test_evaluate_train_split_reproduces_history_row(workspace, tmp_path):
     parsed = [tuple(float(v) for v in r.split(",")) for r in rows]
     best = max(parsed, key=lambda r: r[3])  # first max val_macro_f1 is the checkpoint
     assert abs(report["accuracy"] - best[2]) < 1e-12
+    # the train split is the gradient windows only, as in history's train_acc
+    grad_ends, _ = fit_windows(load_dataset(workspace / "data" / "dataset.bin"), 6, 1, 60, 0.15)
+    assert sum(report["per_class"]["support"]) == len(grad_ends) * 12
 
 
 def test_evaluate_deterministic_bytes(workspace, tmp_path):
@@ -166,6 +174,101 @@ def test_predict_csv_contract(workspace, tmp_path):
     assert abs(sum(probs) - 1.0) < 1e-9
     assert int(parts[5]) == int(np.argmax(probs))
     assert int(parts[1]) >= 61
+
+
+def _window_keys(workspace, ends):
+    xs, _ = window_batch(load_dataset(workspace / "data" / "dataset.bin"), ends, 6, 1)
+    return [x.tobytes() for x in xs]
+
+
+def _eval_forwards(monkeypatch, argv):
+    """Run one command; count each window its eval-mode forward passes saw."""
+    seen = Counter()
+    real = training.forward
+
+    def counting(x, *args, **kwargs):
+        if not kwargs.get("training", False):
+            seen.update(w.tobytes() for w in np.asarray(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting)
+    assert main(argv) == 0
+    return seen
+
+
+def test_each_window_is_forwarded_once(workspace, tmp_path, monkeypatch):
+    ft = load_dataset(workspace / "data" / "dataset.bin")
+    _, test_ends = make_windows(ft, 6, 1, 60)
+    test_keys = Counter(_window_keys(workspace, test_ends))
+    assert len(test_keys) == len(test_ends)
+    for command in ("evaluate", "predict"):
+        seen = _eval_forwards(monkeypatch, [
+            command, "--dataset", str(workspace / "data"),
+            "--weights", str(workspace / "run" / "weights.bin"),
+            "--out", str(tmp_path / command)])
+        assert seen == test_keys, command
+
+    seen = _eval_forwards(monkeypatch, [
+        "train", "--dataset", str(workspace / "data"),
+        "--config", str(workspace / "train.json"), "--out", str(tmp_path / "train")])
+    grad_ends, val_ends = fit_windows(ft, 6, 1, 60, 0.15)
+    epochs = TRAIN_CFG["train"]["epochs"]
+    fit_keys = Counter(_window_keys(workspace, np.concatenate([grad_ends, val_ends])))
+    # test windows once, for the test metrics; fit windows once per epoch
+    assert seen == test_keys + Counter({k: epochs for k in fit_keys})
+
+
+@pytest.mark.parametrize("run_dir", ["run", "eval"])
+def test_confusion_matches_metrics(workspace, tmp_path, run_dir):
+    out = workspace / "run"
+    if run_dir == "eval":
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--dataset", str(workspace / "data"),
+                     "--weights", str(workspace / "run" / "weights.bin"),
+                     "--out", str(out)]) == 0
+    rows = (out / "confusion.csv").read_text().strip().splitlines()[1:]
+    counts = np.array([[int(v) for v in r.split(",")[1:]] for r in rows])
+    report = json.loads((out / "metrics.json").read_text())
+    assert counts.sum() == 35 * 12          # test windows x nodes
+    assert counts.trace() / counts.sum() == report["accuracy"]
+    assert counts.sum(axis=1).tolist() == report["per_class"]["support"]
+
+
+def _assert_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [lambda b: b[:len(b) // 2], lambda b: b + b"\0" * 8])
+def test_dataset_payload_length_mismatch_exits_2(workspace, tmp_path, capsys, change):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    container = data / "dataset.bin"
+    container.write_bytes(change(container.read_bytes()))
+    _assert_usage_error(capsys, ["evaluate", "--dataset", str(data), "--weights",
+                                 str(workspace / "run" / "weights.bin"),
+                                 "--out", str(tmp_path / "e")])
+
+
+def test_weights_header_not_json_exits_2(workspace, tmp_path, capsys):
+    weights = tmp_path / "weights.bin"
+    payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)[1]
+    weights.write_bytes(b"{not json\n" + payload)
+    _assert_usage_error(capsys, ["evaluate", "--dataset", str(workspace / "data"),
+                                 "--weights", str(weights), "--out", str(tmp_path / "e")])
+
+
+def test_train_without_test_windows_exits_2_before_training(workspace, tmp_path, capsys):
+    assert main(["prepare", "--scenario", str(workspace / "scen"), "--train-steps", "95",
+                 "--out", str(tmp_path / "d")]) == 0
+    _assert_usage_error(capsys, ["train", "--dataset", str(tmp_path / "d"), "--config",
+                                 str(workspace / "train.json"), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+def test_gradcheck_zero_seeds_exits_2(capsys):
+    _assert_usage_error(capsys, ["gradcheck", "--seeds", "0"])
 
 
 def test_tune_leaderboard(workspace, tmp_path):

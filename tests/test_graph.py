@@ -278,7 +278,7 @@ def test_nodes_csv_round_trip(tmp_path):
 
     graph = RegionGraph.build(loaded)
     out = tmp_path / "adjacency.csv"
-    save_adjacency_csv(graph, out)
+    save_adjacency_csv(graph.node_ids, graph.adjacency, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "id_i,id_j,weight"
     i0, j0, w0 = lines[1].split(",")

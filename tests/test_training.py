@@ -12,9 +12,11 @@ from floodnowcast.training import (
     TrainConfig,
     cross_entropy,
     evaluate_windows,
+    fit_windows,
     inverse_frequency_weights,
     make_windows,
     model_gradient_check,
+    predict_windows,
     train,
     tune,
     window_batch,
@@ -142,6 +144,32 @@ def test_make_windows_too_small():
         make_windows(ft, t_in=12, horizon=1, split=10)
 
 
+def test_fit_windows_split_the_training_span():
+    ft = _toy_dataset(n=2, t=480, train_steps=288)
+    grad, val = fit_windows(ft, t_in=12, horizon=1, split=288, validation_fraction=0.15)
+    outer, _ = make_windows(ft, t_in=12, horizon=1, split=288)
+    boundary = 288 - round(0.15 * 288)        # 245: the validation stretch starts here
+    np.testing.assert_array_equal(grad, [t for t in outer if t + 1 <= boundary - 1])
+    np.testing.assert_array_equal(val, [t for t in outer if t >= boundary])
+    # the window ending just before the boundary is labeled inside it: in neither set
+    assert boundary - 1 not in grad and boundary - 1 not in val
+
+
+def test_predict_windows_matches_forward_per_window():
+    ft = _toy_dataset(seed=3)
+    graph = _toy_graph(seed=3)
+    params = init_params(_model_cfg())
+    ends = np.arange(5, 59)
+    scored = predict_windows(ft, graph, params, ends)
+    for row in (0, 17, len(ends) - 1):
+        x, y = window_batch(ft, ends[row:row + 1], 6, 1)
+        logits, probs = forward(x, graph, params, training=False)
+        np.testing.assert_allclose(scored.probs[row], probs.data[0], rtol=0, atol=1e-12)
+        assert scored.nll[row] == pytest.approx(cross_entropy(logits, y).item(), abs=1e-12)
+        np.testing.assert_array_equal(scored.labels[row], y[0])
+    np.testing.assert_array_equal(scored.preds, scored.probs.argmax(axis=-1))
+
+
 def test_window_batch_shapes_and_alignment():
     ft = _toy_dataset(n=3, t=40, train_steps=30)
     xs, ys = window_batch(ft, np.array([10, 20]), t_in=6, horizon=1)
@@ -231,11 +259,26 @@ def test_checkpoint_matches_best_history_row():
     cfg = TrainConfig(learning_rate=3e-3, epochs=6, batch_size=8, seed=5)
     mc = _model_cfg()
     params, history = train(ft, graph, cfg, mc)
-    outer_train, _ = make_windows(ft, mc.t_in, mc.horizon, 45)
-    report, loss = evaluate_windows(ft, graph, params, outer_train, mc.horizon)
+    grad_ends, val_ends = fit_windows(ft, mc.t_in, mc.horizon, 45, cfg.validation_fraction)
     best = history.rows[history.best_epoch]
+    report, _, loss = evaluate_windows(ft, graph, params, grad_ends)
     assert report.accuracy == pytest.approx(best.train_acc, abs=1e-12)
     assert loss == pytest.approx(best.train_loss, abs=1e-12)
+    report, _, loss = evaluate_windows(ft, graph, params, val_ends)
+    assert report.accuracy == pytest.approx(best.val_acc, abs=1e-12)
+    assert report.macro_f1 == pytest.approx(best.val_macro_f1, abs=1e-12)
+    assert loss == pytest.approx(best.val_loss, abs=1e-12)
+
+
+def test_train_without_validation_windows_checkpoints_on_gradient_windows():
+    ft = _toy_dataset(seed=5)
+    # a one-step validation stretch holds no complete window at horizon 1
+    cfg = TrainConfig(learning_rate=3e-3, epochs=2, batch_size=8, seed=5,
+                      validation_fraction=0.01)
+    with pytest.warns(UserWarning, match="no complete window"):
+        _, history = train(ft, _toy_graph(seed=5), cfg, _model_cfg())
+    for row in history.rows:
+        assert (row.val_acc, row.val_loss) == (row.train_acc, row.train_loss)
 
 
 def test_train_divergence_reports_epoch():
@@ -264,7 +307,7 @@ def test_history_csv_format(tmp_path):
     path = tmp_path / "history.csv"
     history.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_loss,train_acc,val_macro_f1"
+    assert lines[0] == "epoch,train_loss,train_acc,val_macro_f1,val_loss,val_acc"
     assert len(lines) == 3
     assert lines[1].startswith("0,")
 
@@ -324,6 +367,6 @@ def test_random_weights_score_near_chance_on_balanced_labels():
     graph = _toy_graph(seed=20)
     params = init_params(ModelConfig(n_nodes=5, channels=(8,), t_in=6, seed=20))
     ends, _ = make_windows(ft, 6, 1, 45)
-    report, _ = evaluate_windows(ft, graph, params, ends, 1)
+    report, _, _ = evaluate_windows(ft, graph, params, ends)
     print(f"random-weights accuracy on ~balanced labels: {report.accuracy:.3f}")
     assert 0.05 < report.accuracy < 0.7
