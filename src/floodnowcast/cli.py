@@ -229,7 +229,9 @@ def cmd_train(args, argv) -> int:
 
     params, history = train(ft, graph, train_cfg, model_cfg, ablation=args.ablation)
     save_weights(params, out / "weights.bin",
-                 extra={"ablation": args.ablation, "channels": args.channels})
+                 extra={"ablation": args.ablation, "channels": args.channels,
+                        "split_step": split,
+                        "validation_fraction": train_cfg.validation_fraction})
     history.to_csv(out / "history.csv")
     report, cm, _ = evaluate_windows(ft, graph, params, test_ends, ablation=args.ablation)
     report.to_json(out / "metrics.json")
@@ -257,7 +259,7 @@ def cmd_tune(args, argv) -> int:
     run.add_input_dir(args.dataset)
 
     best, leaderboard = tune(ft, graph, train_cfg, lrs, drops, model_cfg,
-                             jobs=args.jobs, ablation=args.ablation)
+                             ablation=args.ablation)
     with open(out / "leaderboard.csv", "w") as fh:
         fh.write("rank,learning_rate,dropout_rate,val_macro_f1,val_loss,best_epoch\n")
         for row in leaderboard:
@@ -284,12 +286,17 @@ def _resolve_eval(args):
     if params.config.n_nodes != ft.n_nodes:
         raise UsageError(f"weights expect {params.config.n_nodes} nodes, "
                          f"dataset has {ft.n_nodes}")
+    # weights files written before the split was recorded fall back to the defaults
+    split = header.get("split_step", ft.train_steps)
+    fraction = header.get("validation_fraction", TrainConfig.validation_fraction)
+    if not isinstance(split, int) or not isinstance(fraction, float):
+        raise UsageError(f"{args.weights} records split_step {split!r} and "
+                         f"validation_fraction {fraction!r}; expected an int and a float")
     cfg = params.config
     if args.split == "train":
-        ends, _ = fit_windows(ft, cfg.t_in, cfg.horizon, ft.train_steps,
-                              TrainConfig().validation_fraction)
+        ends, _ = fit_windows(ft, cfg.t_in, cfg.horizon, split, fraction)
     else:
-        _, ends = make_windows(ft, cfg.t_in, cfg.horizon, ft.train_steps)
+        _, ends = make_windows(ft, cfg.t_in, cfg.horizon, split)
     if len(ends) == 0:
         raise UsageError(f"no {args.split} windows in this dataset")
     return ft, graph, params, ends, ablation
@@ -385,8 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ablation", choices=ABLATIONS, default="none")
         p.add_argument("--channels", choices=CHANNEL_VIEWS, default="all")
         p.add_argument("--out", required=True)
-        if name == "tune":
-            p.add_argument("--jobs", type=int, default=1)
 
     for name in ("evaluate", "predict"):
         p = sub.add_parser(name)

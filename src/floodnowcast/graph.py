@@ -10,9 +10,10 @@ matrices the spectral graph convolution consumes.
 
 Every reduction over the node axis (kernel bandwidth statistics, degree sums,
 power-iteration matvecs, the Chebyshev recurrence products) adds terms in
-ascending value order. That makes every derived quantity a function of the
-node *multiset*, so relabeling nodes produces bit-identical permuted
-matrices; graphs are reproducible artifacts, not "close enough" ones.
+ascending value order, through :func:`floodnowcast.tensor.sorted_sum` and
+:func:`floodnowcast.tensor.sorted_matmul`. That makes every derived quantity
+a function of the node *multiset*, so relabeling nodes produces bit-identical
+permuted matrices; graphs are reproducible artifacts, not "close enough" ones.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, UsageError
+from .tensor import sorted_matmul, sorted_sum
 
 __all__ = [
     "StaticFeatures",
@@ -46,16 +48,11 @@ __all__ = [
 _NUMERIC_FIELDS = ("in_floodplain", "residential_ratio", "dist_coast", "dist_stream")
 
 
-def _csum(a: np.ndarray) -> float:
-    """Order-canonical sum: terms added in ascending value order."""
-    return float(np.sum(np.sort(a, axis=None)))
-
-
 def _cmean_std(values: np.ndarray) -> tuple[float, float]:
     """Population mean/std computed with order-canonical sums."""
     n = values.size
-    mean = _csum(values) / n
-    var = _csum((values - mean) ** 2) / n
+    mean = float(sorted_sum(values)) / n
+    var = float(sorted_sum((values - mean) ** 2)) / n
     return mean, float(np.sqrt(var))
 
 
@@ -207,18 +204,12 @@ def _validate_adjacency(a: np.ndarray) -> None:
 def laplacian(a: np.ndarray) -> np.ndarray:
     """Combinatorial Laplacian ``L = D - A`` with canonical degree sums."""
     _validate_adjacency(a)
-    degrees = np.array([_csum(row) for row in a])
-    lap = np.diag(degrees) - a
-    return lap
+    return np.diag(sorted_sum(a, axis=1)) - a
 
 
 def _matvec_sorted(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    prod = m * v[None, :]
-    return np.sum(np.sort(prod, axis=1), axis=1)
-
-
-def _dot_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    return _csum(a * b)
+    # a named function so the benchmark's tracer can count power-iteration matvecs
+    return sorted_sum(m * v[None, :], axis=1)
 
 
 def _start_vector(lap: np.ndarray) -> np.ndarray:
@@ -235,14 +226,14 @@ def _start_vector(lap: np.ndarray) -> np.ndarray:
     n = lap.shape[0]
     scale = float(np.max(np.abs(lap), initial=0.0))
     candidates = [np.diag(lap).copy(),
-                  np.array([_csum(row * row) for row in lap]),
+                  sorted_sum(lap * lap, axis=1),
                   np.linspace(1.0, 2.0, n)]
     for cand in candidates:
         if cand.max() - cand.min() <= 0.0:
             continue
         image = _matvec_sorted(lap, cand)
-        img_norm = np.sqrt(_dot_sorted(image, image))
-        if img_norm > 1e-12 * scale * np.sqrt(_dot_sorted(cand, cand)):
+        img_norm = np.sqrt(sorted_sum(image * image))
+        if img_norm > 1e-12 * scale * np.sqrt(sorted_sum(cand * cand)):
             return cand
     return candidates[-1]
 
@@ -259,19 +250,19 @@ def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9,
     if n == 0:
         raise UsageError("empty matrix")
     v = _start_vector(lap)
-    nrm = np.sqrt(_dot_sorted(v, v))
+    nrm = np.sqrt(sorted_sum(v * v))
     if nrm == 0.0:
         return 0.0
     v = v / nrm
     lam = 0.0
     for _ in range(max_iter):
         w = _matvec_sorted(lap, v)
-        wn = np.sqrt(_dot_sorted(w, w))
+        wn = np.sqrt(sorted_sum(w * w))
         if wn <= 1e-300:
             return 0.0
-        lam = _dot_sorted(v, w)
+        lam = float(sorted_sum(v * w))
         resid = w - lam * v
-        if np.sqrt(_dot_sorted(resid, resid)) <= tol * max(abs(lam), 1e-300):
+        if np.sqrt(sorted_sum(resid * resid)) <= tol * max(abs(lam), 1e-300):
             return float(lam)
         v = w / wn
     warnings.warn(f"power iteration did not reach tol={tol} in {max_iter} iterations")
@@ -299,18 +290,6 @@ def scaled_laplacian(lap: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, fl
     return scaled, float(lam)
 
 
-def _matmul_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, k) @ (k, m) with each output entry summed in ascending value order."""
-    n, k = a.shape
-    m = b.shape[1]
-    out = np.empty((n, m))
-    chunk = max(1, int(4_000_000 // max(1, n * k)))
-    for j0 in range(0, m, chunk):
-        prod = a[:, :, None] * b[None, :, j0:j0 + chunk]
-        out[:, j0:j0 + chunk] = np.sum(np.sort(prod, axis=1), axis=1)
-    return out
-
-
 def chebyshev_basis(scaled: np.ndarray, k: int) -> list[np.ndarray]:
     """Chebyshev matrices ``T_0 = I, T_1 = L~, T_j = 2 L~ T_{j-1} - T_{j-2}``."""
     if k < 1:
@@ -320,7 +299,7 @@ def chebyshev_basis(scaled: np.ndarray, k: int) -> list[np.ndarray]:
     if k > 1:
         basis.append(scaled.copy())
     for _ in range(2, k):
-        basis.append(2.0 * _matmul_sorted(scaled, basis[-1]) - basis[-2])
+        basis.append(2.0 * sorted_matmul(scaled, basis[-1]) - basis[-2])
     return basis
 
 

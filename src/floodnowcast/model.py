@@ -86,6 +86,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_nodes < 1 or self.t_in < 1 or self.k < 1 or not self.channels:
             raise UsageError("n_nodes, t_in, k must be >= 1 and channels non-empty")
+        if self.in_channels < 1 or self.kernel_width < 1 or min(self.channels) < 1:
+            raise UsageError(f"in_channels ({self.in_channels}), kernel_width "
+                             f"({self.kernel_width}) and every channels entry "
+                             f"({list(self.channels)}) must be >= 1")
         if self.kernel_width % 2 == 0:
             raise UsageError(f"kernel_width must be odd, got {self.kernel_width}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -129,7 +133,6 @@ class STBlockParams:
     u3: Tensor      # (C_in,)
     theta: list[Tensor]   # K matrices (C_in, C_out), Chebyshev coefficients
     phi: Tensor     # (kernel_width, C_out, C_out) temporal kernel
-    dropout_rate: float = 0.0
 
 
 @dataclass
@@ -180,7 +183,6 @@ def init_params(config: ModelConfig) -> ModelParams:
             theta=[_glorot(rng, (c_in, c_out)) for _ in range(config.k)],
             phi=_glorot(rng, (config.kernel_width, c_out, c_out),
                         fans=(config.kernel_width * c_out, config.kernel_width * c_out)),
-            dropout_rate=config.dropout_rate,
         ))
         c_in = c_out
     fc_w = _glorot(rng, (config.channels[-1] * t, N_CLASSES))
@@ -214,10 +216,12 @@ def spatial_attention(x: Tensor, blk: STBlockParams) -> Tensor:
     """
     if x.ndim != 4:
         raise UsageError(f"expected (B, N, C, T) input, got {x.shape}")
-    if x.shape[2] != blk.w2.shape[0] or x.shape[3] != blk.w1.shape[0]:
+    b, n, c, t = x.shape
+    if c != blk.w2.shape[0] or t != blk.w1.shape[0]:
         raise UsageError(f"input {x.shape} does not match spatial attention params")
-    lhs = tc.matmul(tc.matmul(x, blk.w1), blk.w2)        # (B, N, T)
-    rhs = tc.matmul(blk.w3, x).swap_last2()              # (B, T, N)
+    x_w1 = tc.matmul(x, blk.w1.reshape(t, 1)).reshape(b, n, c)
+    lhs = tc.matmul(x_w1, blk.w2)                        # (B, N, T)
+    rhs = tc.matmul(blk.w3.reshape(1, c), x).reshape(b, n, t).swap_last2()  # (B, T, N)
     score = tc.matmul(lhs, rhs) + blk.b_s                # (B, N, N)
     gated = blk.p_s * tc.sigmoid(score)
     return tc.softmax(gated, axis=-1)
@@ -231,11 +235,13 @@ def temporal_attention(x: Tensor, blk: STBlockParams) -> Tensor:
     """
     if x.ndim != 4:
         raise UsageError(f"expected (B, N, C, T) input, got {x.shape}")
-    if x.shape[1] != blk.u1.shape[0] or x.shape[2] != blk.u3.shape[0]:
+    b, n, c, t = x.shape
+    if n != blk.u1.shape[0] or c != blk.u3.shape[0]:
         raise UsageError(f"input {x.shape} does not match temporal attention params")
     xt = x.transpose((0, 3, 2, 1))                       # (B, T, C, N)
-    lhs = tc.matmul(tc.matmul(xt, blk.u1), blk.u2.swap_last2())  # (B, T, N)
-    rhs = tc.matmul(blk.u3, x)                           # (B, N, T)
+    xt_u1 = tc.matmul(xt, blk.u1.reshape(n, 1)).reshape(b, t, c)
+    lhs = tc.matmul(xt_u1, blk.u2.swap_last2())          # (B, T, N)
+    rhs = tc.matmul(blk.u3.reshape(1, c), x).reshape(b, n, t)  # (B, N, T)
     score = tc.matmul(lhs, rhs) + blk.b_e                # (B, T, T)
     gated = blk.v_e * tc.sigmoid(score)
     return tc.softmax(gated, axis=-1)
@@ -326,7 +332,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
             else:
                 s_norm = ones_gate.reshape(1, n, n)
             y = cheb_graph_conv(h, graph.cheb_basis[:cfg.k], s_norm, blk.theta)
-            h = temporal_conv(y, blk.phi, blk.dropout_rate, training, rng)
+            h = temporal_conv(y, blk.phi, cfg.dropout_rate, training, rng)
         except DomainError as exc:
             raise DomainError(f"block {i}: {exc}") from exc
     try:

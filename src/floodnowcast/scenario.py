@@ -36,7 +36,7 @@ from .graph import NODES_HEADER, StaticFeatures, UnitNode, build_adjacency
 from .pipeline import CHANNELS, FeatureTensor, format_utc, label_flood_classes, parse_utc
 
 __all__ = ["ScenarioConfig", "ScenarioDataset", "generate", "latent_flood_step",
-           "ablation_variants", "physics_only"]
+           "physics_only"]
 
 log = logging.getLogger(__name__)
 
@@ -377,12 +377,3 @@ def physics_only(ft: FeatureTensor) -> FeatureTensor:
                          channel_std=ft.channel_std.copy(),
                          train_steps=ft.train_steps)
 
-
-def ablation_variants(ft: FeatureTensor) -> dict[str, FeatureTensor]:
-    """The input-side ablations: untouched tensor and the physics-only view.
-
-    Model-side ablations (attention-off, graph-off) are forward/graph flags,
-    not dataset views; see :mod:`floodnowcast.model` and
-    :meth:`floodnowcast.graph.RegionGraph.edgeless`.
-    """
-    return {"full": ft, "physics-only": physics_only(ft)}

@@ -46,6 +46,9 @@ __all__ = [
     "softmax",
     "log_softmax",
     "conv1d_same",
+    "sorted_sum",
+    "sorted_matmul",
+    "central_difference_error",
     "gradient_check",
 ]
 
@@ -71,7 +74,7 @@ def canonical_reductions() -> Iterator[None]:
         _state.canonical = prev
 
 
-def _sorted_sum(a: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
+def sorted_sum(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     """Sum with terms taken in ascending order; invariant to term permutation."""
     if axis is None:
         return np.sum(np.sort(a, axis=None), keepdims=keepdims)
@@ -254,7 +257,7 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
             if not -a.ndim <= i < a.ndim:
                 raise UsageError(f"reduction axis {i} out of range for rank {a.ndim}")
     if _canonical():
-        out = _sorted_sum(a.data, axis, keepdims=keepdims)
+        out = sorted_sum(a.data, axis, keepdims=keepdims)
     else:
         out = np.sum(a.data, axis=axis, keepdims=keepdims)
     n = a.data.size if axis is None else int(np.prod([a.data.shape[i] for i in np.atleast_1d(axis)]))
@@ -275,78 +278,51 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
 # -- matmul ---------------------------------------------------------------
 
 
-def _matmul_canonical(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+def sorted_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """Matrix product summing contraction terms in ascending value order.
 
+    Both operands have at least two dimensions; leading axes broadcast.
     Materializes the product terms, so only suitable for modest shapes;
     chunks the trailing output axis to bound the intermediate size.
     """
-    out_shape = np.matmul(np.empty(ad.shape), np.empty(bd.shape)).shape
     m = bd.shape[-1]
-    out = np.empty(out_shape)
+    out = np.empty(np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2]) + (ad.shape[-2], m))
     # products tensor per chunk: (..., n, k, m_chunk)
     chunk = max(1, int(4_000_000 // max(1, ad.shape[-1] * ad.shape[-2])))
     for j0 in range(0, m, chunk):
         j1 = min(m, j0 + chunk)
         prod = ad[..., :, :, None] * bd[..., None, :, j0:j1]
-        out[..., j0:j1] = _sorted_sum(prod, axis=-2)
+        out[..., j0:j1] = sorted_sum(prod, axis=-2)
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy semantics on the trailing two axes.
 
-    Leading axes broadcast; a 1-D operand is contracted the way
-    ``numpy.matmul`` contracts it. Under :func:`canonical_reductions` the
+    Both operands need at least two dimensions (reshape a vector to a row or
+    a column); leading axes broadcast. Under :func:`canonical_reductions` the
     contraction sums terms in value order.
     """
     a = _as_tensor(a)
     b = _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise UsageError("matmul does not accept scalars")
-    if ad.shape[-1] != (bd.shape[-2] if bd.ndim >= 2 else bd.shape[-1]):
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise UsageError(f"matmul needs operands of rank >= 2, got {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
         raise UsageError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
     with np.errstate(over="ignore"):
-        if _canonical():
-            a2 = ad[None, :] if ad.ndim == 1 else ad
-            b2 = bd[:, None] if bd.ndim == 1 else bd
-            out = _matmul_canonical(a2, b2)
-            if bd.ndim == 1:
-                out = out[..., 0]
-            if ad.ndim == 1:
-                out = out[..., 0, :] if bd.ndim >= 2 else out.reshape(())
-        else:
-            out = np.matmul(ad, bd)
+        out = sorted_matmul(ad, bd) if _canonical() else np.matmul(ad, bd)
 
     def rule(g):
-        need_a, need_b = a.requires_grad, b.requires_grad
         ga = gb = None
-        if ad.ndim >= 2 and bd.ndim >= 2:
-            if need_a:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-            if need_b:
-                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
-        elif bd.ndim == 1 and ad.ndim >= 2:
-            # out[..., i] = sum_k ad[..., i, k] * bd[k]
-            if need_a:
-                ga = g[..., None] * bd
-            if need_b:
-                gb = ad.reshape(-1, ad.shape[-1]).T @ np.asarray(g).reshape(-1)
-        elif ad.ndim == 1 and bd.ndim >= 2:
-            # out[..., j] = sum_k ad[k] * bd[..., k, j]
-            if need_a:
-                tmp = bd * np.asarray(g)[..., None, :]
-                ga = tmp.sum(axis=tuple(i for i in range(tmp.ndim) if i != tmp.ndim - 2))
-            if need_b:
-                gb = _unbroadcast(ad[:, None] * np.asarray(g)[..., None, :], bd.shape)
-        else:  # vector . vector
-            ga = np.asarray(g) * bd if need_a else None
-            gb = np.asarray(g) * ad if need_b else None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
         return (ga, gb)
 
-    return _make(np.asarray(out), (a, b), rule, "matmul")
+    return _make(out, (a, b), rule, "matmul")
 
 
 # -- activations ----------------------------------------------------------
@@ -395,7 +371,7 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     if _canonical():
-        denom = _sorted_sum(e, axis, keepdims=True)
+        denom = sorted_sum(e, axis, keepdims=True)
     else:
         denom = np.sum(e, axis=axis, keepdims=True)
     out = e / denom
@@ -413,7 +389,7 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     if _canonical():
-        denom = _sorted_sum(e, axis, keepdims=True)
+        denom = sorted_sum(e, axis, keepdims=True)
     else:
         denom = np.sum(e, axis=axis, keepdims=True)
     out = shifted - np.log(denom)
@@ -550,6 +526,32 @@ class Tape:
 # -- verification -----------------------------------------------------------
 
 
+def central_difference_error(loss: Callable[[], float], x: np.ndarray,
+                             analytic: np.ndarray, eps: float,
+                             dead_margin: float = 0.0) -> float:
+    """Largest relative error of ``analytic`` against central differences.
+
+    Each coordinate of ``x`` is bumped in place by +eps and -eps around a
+    ``loss()`` call, which must read ``x``, and then put back. The error at a
+    coordinate is ``|analytic - fd| / max(|analytic|, |fd|, 1e-8)``; a
+    coordinate is skipped only when both values are below ``dead_margin``.
+    """
+    worst = 0.0
+    for i in range(x.size):
+        orig = x.flat[i]
+        x.flat[i] = orig + eps
+        hi = loss()
+        x.flat[i] = orig - eps
+        lo = loss()
+        x.flat[i] = orig
+        fd = (hi - lo) / (2.0 * eps)
+        a = float(analytic.flat[i])
+        if abs(a) < dead_margin and abs(fd) < dead_margin:
+            continue
+        worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
+    return worst
+
+
 def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
     """Compare analytic gradients of scalar ``f`` against central differences.
 
@@ -564,17 +566,6 @@ def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) 
     if not isinstance(y, Tensor) or y.data.size != 1:
         raise UsageError("gradient_check requires a scalar-valued function")
     tape.backward(y)
-    analytic = leaf.grad.ravel() if leaf.grad is not None else np.zeros(leaf.size)
-
-    flat = x.data.ravel()
-    fd = np.empty_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + eps
-        hi = f(Tensor(bumped.reshape(x.shape))).item()
-        bumped[i] = flat[i] - eps
-        lo = f(Tensor(bumped.reshape(x.shape))).item()
-        fd[i] = (hi - lo) / (2.0 * eps)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
-    return float(np.max(np.abs(analytic - fd) / denom)) if flat.size else 0.0
+    analytic = leaf.grad if leaf.grad is not None else np.zeros(leaf.shape)
+    return central_difference_error(lambda: f(Tensor(leaf.data)).item(), leaf.data,
+                                    analytic, eps)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -401,7 +400,7 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
 
 def tune(dataset: FeatureTensor, graph: RegionGraph, base_config: TrainConfig,
          learning_rates: Sequence[float], dropout_rates: Sequence[float],
-         model_config: Optional[ModelConfig] = None, jobs: int = 1,
+         model_config: Optional[ModelConfig] = None,
          ablation: str = "none") -> tuple[TrainConfig, list[dict]]:
     """Grid search over learning rate x dropout, ranked by validation macro-F1.
 
@@ -421,11 +420,7 @@ def tune(dataset: FeatureTensor, graph: RegionGraph, base_config: TrainConfig,
                 "val_macro_f1": best.val_macro_f1, "val_loss": best.val_loss,
                 "best_epoch": history.best_epoch}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, combos))
-    else:
-        rows = [run(cfg) for cfg in combos]
+    rows = [run(cfg) for cfg in combos]
     order = sorted(range(len(rows)),
                    key=lambda i: (-rows[i]["val_macro_f1"], rows[i]["val_loss"], i))
     leaderboard = []
@@ -502,19 +497,6 @@ def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,)
     errors: dict[str, float] = {}
     for name, t in named_parameters(params):
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.ravel()
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = loss_value()
-            flat[i] = orig - eps
-            lo = loss_value()
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            a = float(analytic.ravel()[i])
-            if abs(a) < dead_margin and abs(fd) < dead_margin:
-                continue
-            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
-        errors[name] = float(worst)
+        errors[name] = tc.central_difference_error(loss_value, t.data, analytic,
+                                                   eps, dead_margin)
     return errors

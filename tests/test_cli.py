@@ -238,6 +238,7 @@ def _assert_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("change", [lambda b: b[:len(b) // 2], lambda b: b + b"\0" * 8])
@@ -259,12 +260,52 @@ def test_weights_header_not_json_exits_2(workspace, tmp_path, capsys):
                                  "--weights", str(weights), "--out", str(tmp_path / "e")])
 
 
+@pytest.mark.parametrize("key", ["split_step", "validation_fraction"])
+def test_weights_header_bad_split_exits_2(workspace, tmp_path, capsys, key):
+    header, payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)
+    weights = tmp_path / "weights.bin"
+    weights.write_bytes(json.dumps({**json.loads(header), key: "x"}).encode() + b"\n" + payload)
+    _assert_usage_error(capsys, ["evaluate", "--dataset", str(workspace / "data"),
+                                 "--weights", str(weights), "--out", str(tmp_path / "e")])
+
+
 def test_train_without_test_windows_exits_2_before_training(workspace, tmp_path, capsys):
     assert main(["prepare", "--scenario", str(workspace / "scen"), "--train-steps", "95",
                  "--out", str(tmp_path / "d")]) == 0
     _assert_usage_error(capsys, ["train", "--dataset", str(tmp_path / "d"), "--config",
                                  str(workspace / "train.json"), "--out", str(tmp_path / "run")])
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("model", [{"channels": [0]}, {"in_channels": 0},
+                                   {"channels": [32, -1]}, {"kernel_width": -1}])
+def test_model_config_out_of_range_exits_2(workspace, tmp_path, capsys, model):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "model": {**TRAIN_CFG["model"], **model}}))
+    err = _assert_usage_error(capsys, ["train", "--dataset", str(workspace / "data"),
+                                       "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert "must be >= 1" in err
+
+
+def test_evaluate_uses_the_split_recorded_by_train(workspace, tmp_path):
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "train": {
+        **TRAIN_CFG["train"], "split_step": 50, "validation_fraction": 0.3}}))
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(workspace / "data"), "--config", str(cfg),
+                 "--out", str(run)]) == 0
+    for split in ("test", "train"):
+        assert main(["evaluate", "--dataset", str(workspace / "data"),
+                     "--weights", str(run / "weights.bin"), "--split", split,
+                     "--out", str(tmp_path / split)]) == 0
+    trained = json.loads((run / "metrics.json").read_text())
+    evaluated = json.loads((tmp_path / "test" / "metrics.json").read_text())
+    # 96 steps split at 50 (not the dataset's 60), t_in 6, horizon 1: 45 windows
+    assert sum(evaluated["per_class"]["support"]) == 45 * 12
+    assert evaluated == trained
+    grad_ends, _ = fit_windows(load_dataset(workspace / "data" / "dataset.bin"), 6, 1, 50, 0.3)
+    report = json.loads((tmp_path / "train" / "metrics.json").read_text())
+    assert sum(report["per_class"]["support"]) == len(grad_ends) * 12
 
 
 def test_gradcheck_zero_seeds_exits_2(capsys):

@@ -7,7 +7,6 @@ from floodnowcast.errors import UsageError
 from floodnowcast.pipeline import label_flood_classes, prepare_from_dir
 from floodnowcast.scenario import (
     ScenarioConfig,
-    ablation_variants,
     generate,
     latent_flood_step,
     physics_only,
@@ -89,13 +88,12 @@ def test_default_config_carries_report_signal(tmp_path):
 def test_physics_only_view_zeroes_human_channels(tmp_path):
     ds = generate(ScenarioConfig(**SMALL), tmp_path / "v")
     ft = prepare_from_dir(tmp_path / "v", train_steps=60)
-    views = ablation_variants(ft)
-    assert set(views) == {"full", "physics-only"}
-    phys = views["physics-only"]
+    original = ft.values.copy()
+    phys = physics_only(ft)
     assert np.all(phys.values[:, 3:, :] == 0.0)
     np.testing.assert_array_equal(phys.values[:, :3, :], ft.values[:, :3, :])
-    np.testing.assert_array_equal(views["full"].values, ft.values)
-    # the full view is untouched and the original tensor was not modified
+    # the input tensor is untouched
+    np.testing.assert_array_equal(ft.values, original)
     assert np.any(ft.values[:, 3:, :] != 0.0)
     np.testing.assert_array_equal(phys.labels, ft.labels)
 
