@@ -9,8 +9,9 @@ so the spectrum lands in [-1, 1], and precompute the Chebyshev polynomial
 matrices the spectral graph convolution consumes.
 
 Every reduction over the node axis (kernel bandwidth statistics, degree sums,
-power-iteration matvecs, the Chebyshev recurrence products) adds terms in
-ascending value order, through :func:`floodnowcast.tensor.sorted_sum` and
+the Lanczos matvecs and dot products behind ``lambda_max``, the Chebyshev
+recurrence products) adds terms in ascending value order, through
+:func:`floodnowcast.tensor.sorted_sum` and
 :func:`floodnowcast.tensor.sorted_matmul`. That makes every derived quantity
 a function of the node *multiset*, so relabeling nodes produces bit-identical
 permuted matrices; graphs are reproducible artifacts, not "close enough" ones.
@@ -208,12 +209,12 @@ def laplacian(a: np.ndarray) -> np.ndarray:
 
 
 def _matvec_sorted(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # a named function so the benchmark's tracer can count power-iteration matvecs
+    # a named function so the benchmark's tracer can count lambda_max matvecs
     return sorted_sum(m * v[None, :], axis=1)
 
 
 def _start_vector(lap: np.ndarray) -> np.ndarray:
-    """Deterministic start for power iteration.
+    """Deterministic start for the Lanczos iteration.
 
     Candidates are functions of the matrix that permute with its rows, so the
     whole iteration (and thus lambda_max) is invariant under node relabeling.
@@ -238,13 +239,27 @@ def _start_vector(lap: np.ndarray) -> np.ndarray:
     return candidates[-1]
 
 
-def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9,
-                               max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def _project_out(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``w`` minus its components along the orthonormal rows of ``basis``.
 
-    Stops when the residual ``||L v - lambda v||`` drops below
-    ``tol * lambda`` (which bounds the eigenvalue error for symmetric
-    matrices), or after ``max_iter`` sweeps with a warning.
+    The correction sums over the basis index in row order for every node (an
+    outer ``np.sum``; a BLAS gemv may order output positions differently), so
+    it permutes exactly with the nodes.
+    """
+    coef = sorted_sum(basis * w[None, :], axis=1)
+    return w - np.sum(coef[:, None] * basis, axis=0), coef
+
+
+def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix by Lanczos iteration.
+
+    Full reorthogonalisation (classical Gram-Schmidt, two passes) keeps the
+    Krylov basis orthonormal; the estimate is the top Ritz value ``theta`` of
+    the tridiagonal matrix. Stops when the Ritz residual ``|beta_j s_j|``
+    (``||L y - theta y||``, which bounds the eigenvalue error) drops to
+    ``tol * theta`` or the basis spans an invariant subspace. Every step is a
+    sorted sum, so the result is bitwise invariant under node relabeling. At
+    most ``n`` steps; ending there unconverged warns.
     """
     n = lap.shape[0]
     if n == 0:
@@ -253,26 +268,33 @@ def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9,
     nrm = np.sqrt(sorted_sum(v * v))
     if nrm == 0.0:
         return 0.0
-    v = v / nrm
-    lam = 0.0
-    for _ in range(max_iter):
-        w = _matvec_sorted(lap, v)
-        wn = np.sqrt(sorted_sum(w * w))
-        if wn <= 1e-300:
-            return 0.0
-        lam = float(sorted_sum(v * w))
-        resid = w - lam * v
-        if np.sqrt(sorted_sum(resid * resid)) <= tol * max(abs(lam), 1e-300):
-            return float(lam)
-        v = w / wn
-    warnings.warn(f"power iteration did not reach tol={tol} in {max_iter} iterations")
-    return float(lam)
+    basis = np.empty((n, n))
+    basis[0] = v / nrm
+    alphas: list[float] = []
+    betas: list[float] = []
+    for j in range(n):
+        w = _matvec_sorted(lap, basis[j])
+        w, coef = _project_out(basis[:j + 1], w)
+        alphas.append(float(coef[j]))
+        w, _ = _project_out(basis[:j + 1], w)  # twice is enough for orthogonality
+        beta = float(np.sqrt(sorted_sum(w * w)))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vecs = np.linalg.eigh(tri)
+        theta = float(ritz[-1])
+        # beta == 0: the basis spans an invariant subspace, theta is exact
+        if beta <= 1e-300 or abs(beta * vecs[-1, -1]) <= tol * abs(theta):
+            return theta
+        if j + 1 < n:
+            basis[j + 1] = w / beta
+            betas.append(beta)
+    warnings.warn(f"Lanczos did not reach tol={tol} in {n} iterations")
+    return theta
 
 
 def scaled_laplacian(lap: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, float]:
     """Rescale ``L`` to ``(2 / lambda_max) L - I`` with spectrum in [-1, 1].
 
-    ``lambda_max`` comes from power iteration; the estimate is inflated by
+    ``lambda_max`` comes from Lanczos iteration; the estimate is inflated by
     one tolerance unit so a slight underestimate cannot push the top of the
     spectrum past +1. An (almost) edgeless graph has ``lambda_max ~ 0``; that
     degenerate case falls back to ``lambda_max = 2``, i.e. ``L_tilde = L - I``.

@@ -28,6 +28,7 @@ verification fixtures and small-scale inference, not training loops.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
@@ -278,21 +279,34 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
 # -- matmul ---------------------------------------------------------------
 
 
+_SORTED_MATMUL_TERMS = 1 << 20   # product terms per chunk: 8 MB of float64
+
+
 def sorted_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """Matrix product summing contraction terms in ascending value order.
 
     Both operands have at least two dimensions; leading axes broadcast.
-    Materializes the product terms, so only suitable for modest shapes;
-    chunks the trailing output axis to bound the intermediate size.
+    Materializes the product terms, so only suitable for modest shapes; the
+    trailing output axis is chunked so a chunk holds about 8 MB of terms
+    (more only when a single output column needs more). Each chunk lays the
+    contraction axis last and sorts it in place, then adds the sorted terms
+    one at a time, smallest first: ``np.sum`` along a contiguous axis would
+    add them pairwise instead.
     """
+    n, k = ad.shape[-2:]
     m = bd.shape[-1]
-    out = np.empty(np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2]) + (ad.shape[-2], m))
-    # products tensor per chunk: (..., n, k, m_chunk)
-    chunk = max(1, int(4_000_000 // max(1, ad.shape[-1] * ad.shape[-2])))
+    batch = np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
+    out = np.empty(batch + (n, m))
+    bt = np.swapaxes(bd, -1, -2)
+    chunk = max(1, _SORTED_MATMUL_TERMS // max(1, math.prod(batch) * n * k))
     for j0 in range(0, m, chunk):
-        j1 = min(m, j0 + chunk)
-        prod = ad[..., :, :, None] * bd[..., None, :, j0:j1]
-        out[..., j0:j1] = sorted_sum(prod, axis=-2)
+        prod = ad[..., :, None, :] * bt[..., None, j0:j0 + chunk, :]   # (..., n, chunk, k)
+        prod.sort(axis=-1)
+        acc = np.zeros(prod.shape[:-1])   # np.sum also starts from +0.0
+        for i in range(k):
+            acc += prod[..., i]
+        out[..., j0:j0 + chunk] = acc
+        del prod   # free this chunk's terms before the next chunk allocates its own
     return out
 
 
@@ -342,11 +356,10 @@ def relu(t: Tensor) -> Tensor:
 def sigmoid(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     x = t.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
 
     def rule(g):
         return (g * out * (1.0 - out),)

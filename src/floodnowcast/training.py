@@ -88,6 +88,9 @@ class TrainConfig:
             raise UsageError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise UsageError("validation_fraction must be in (0, 1)")
+        if self.split_step is not None and (
+                type(self.split_step) is not int or self.split_step < 1):
+            raise UsageError(f"split_step must be an int >= 1, got {self.split_step!r}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in (

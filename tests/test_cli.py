@@ -287,6 +287,18 @@ def test_model_config_out_of_range_exits_2(workspace, tmp_path, capsys, model):
     assert "must be >= 1" in err
 
 
+# 250.0 and 0 are also outside this 96-step dataset; 50.0 is inside it, where a
+# float split used to reach the label slicing and raise TypeError
+@pytest.mark.parametrize("split_step", [250.0, 50.0, 0])
+def test_train_config_bad_split_step_exits_2(workspace, tmp_path, capsys, split_step):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "train": {**TRAIN_CFG["train"],
+                                                      "split_step": split_step}}))
+    err = _assert_usage_error(capsys, ["train", "--dataset", str(workspace / "data"),
+                                       "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert "split_step" in err
+
+
 def test_evaluate_uses_the_split_recorded_by_train(workspace, tmp_path):
     cfg = tmp_path / "split.json"
     cfg.write_text(json.dumps({**TRAIN_CFG, "train": {

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import floodnowcast.graph as graph_module
 from floodnowcast.errors import UsageError
 from floodnowcast.graph import (
     RegionGraph,
@@ -18,6 +20,7 @@ from floodnowcast.graph import (
     scaled_laplacian,
     static_norm_stats,
 )
+from floodnowcast.scenario import ScenarioConfig, _make_nodes
 
 
 def _feat(fp=False, rr=0.5, shed="w1", dc=1000.0, ds=500.0):
@@ -187,6 +190,28 @@ def test_power_iteration_matches_dense_eigensolver():
         assert abs(lam - ref) / ref < 1e-8
 
 
+def test_lambda_max_converges_on_a_slow_power_iteration_layout(monkeypatch):
+    # the 200-unit layout of scenario seed 4, where plain power iteration hit
+    # its 10,000-iteration cap short of tol
+    cfg = ScenarioConfig(n_nodes=200, seed=4)
+    nodes = _make_nodes(cfg, np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,))))
+    lap = laplacian(build_adjacency(nodes))
+    calls = []
+    matvec = graph_module._matvec_sorted
+
+    def counting_matvec(m, v):
+        calls.append(1)
+        return matvec(m, v)
+
+    monkeypatch.setattr(graph_module, "_matvec_sorted", counting_matvec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = power_iteration_lambda_max(lap)
+    ref = float(np.max(np.linalg.eigvalsh(lap)))
+    assert abs(lam - ref) / ref < 1e-12
+    assert len(calls) <= len(nodes)
+
+
 def test_scaled_spectrum_in_unit_interval():
     for seed in range(6):
         a = build_adjacency(_random_nodes(7, seed=30 + seed))
@@ -245,11 +270,12 @@ def test_edgeless_basis_alternates_sign():
 
 
 def test_graph_permutation_equivariance_bitwise():
-    for seed in range(3):
-        nodes = _random_nodes(6, seed=60 + seed)
+    # the 48-node graph takes 46 Lanczos steps, each reorthogonalised against all before it
+    for seed, n in enumerate((6, 6, 6, 48)):
+        nodes = _random_nodes(n, seed=60 + seed)
         rng = np.random.default_rng(seed)
-        perm = rng.permutation(6)
-        p = np.eye(6)[perm]
+        perm = rng.permutation(n)
+        p = np.eye(n)[perm]
         g1 = RegionGraph.build(nodes, k=4)
         g2 = RegionGraph.build([nodes[i] for i in perm], k=4)
         assert np.array_equal(g2.adjacency, p @ g1.adjacency @ p.T)

@@ -15,6 +15,7 @@ from floodnowcast.tensor import (
     relu,
     sigmoid,
     softmax,
+    sorted_matmul,
 )
 
 
@@ -238,3 +239,33 @@ def test_canonical_matmul_is_permutation_invariant_bitwise():
         direct = matmul(Tensor(p @ a @ p.T), Tensor(p @ x)).data
         expected = p @ matmul(Tensor(a), Tensor(x)).data
     assert np.array_equal(direct, expected)
+
+
+def test_sigmoid_matches_two_branch_formula_bitwise():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[700.0, -700.0, 0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0],
+                        rng.normal(scale=20.0, size=200)])
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    assert sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((7, 5), (5, 3)),
+    ((3, 1, 6, 9), (2, 9, 4)),      # broadcast leading axes
+    ((200, 60), (60, 203)),         # 87 columns a chunk: the last chunk is partial
+    ((4, 0), (0, 3)),
+])
+def test_sorted_matmul_matches_sort_then_sum_bitwise(a_shape, b_shape):
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=a_shape) * 10.0 ** rng.integers(-6, 6, size=a_shape)
+    a[..., : a_shape[-2] // 2, :] *= -0.0    # signed zeros: sums of zeros start from +0.0
+    b = rng.normal(size=b_shape)
+    # reference: all terms at once, sorted along the contraction axis, np.sum over
+    # that (non-contiguous) axis, which adds them one by one from +0.0
+    prod = a[..., :, :, None] * b[..., None, :, :]
+    want = np.sum(np.sort(prod, axis=-2), axis=-2)
+    got = sorted_matmul(a, b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
