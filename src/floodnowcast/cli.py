@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import DomainError, TrainingDiverged, UsageError
+from .errors import DomainError, TrainingDiverged, UsageError, is_int
 from .graph import RegionGraph, build_adjacency, load_nodes_csv, save_adjacency_csv
 from .model import (
     ABLATIONS,
@@ -73,11 +73,21 @@ def _sha256(path: Path) -> str:
 def _load_json(path: str | Path, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} file {path} must hold a JSON object")
+    return data
+
+
+def _section(cfg_all: dict, key: str) -> dict:
+    section = cfg_all.get(key, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"config section {key!r} must be a JSON object, got {section!r}")
+    return section
 
 
 class _Run:
@@ -137,7 +147,7 @@ def _model_config(section: dict, n_nodes: int, seed: int) -> ModelConfig:
     if unknown:
         raise UsageError(f"unknown model config keys: {sorted(unknown)}")
     section = dict(section)
-    if "channels" in section:
+    if isinstance(section.get("channels"), list):
         section["channels"] = tuple(section["channels"])
     return ModelConfig(n_nodes=n_nodes, seed=seed, **section)
 
@@ -202,12 +212,12 @@ def cmd_prepare(args, argv) -> int:
 def _train_setup(args):
     cfg_all = _load_json(args.config, "train config")
     try:
-        train_cfg = TrainConfig.from_dict(cfg_all.get("train", {}))
+        train_cfg = TrainConfig.from_dict(_section(cfg_all, "train"))
     except TypeError as exc:
         raise UsageError(f"bad train config: {exc}") from exc
     if args.seed is not None:
         train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed})
-    return cfg_all, train_cfg, cfg_all.get("model", {})
+    return cfg_all, train_cfg, _section(cfg_all, "model")
 
 
 def cmd_train(args, argv) -> int:
@@ -244,7 +254,7 @@ def cmd_train(args, argv) -> int:
 
 def cmd_tune(args, argv) -> int:
     cfg_all, train_cfg, model_section = _train_setup(args)
-    grid = cfg_all.get("grid", {})
+    grid = _section(cfg_all, "grid")
     lrs = grid.get("learning_rates", [1e-3, 3e-3])
     drops = grid.get("dropout_rates", [0.0, 0.3])
     mc_probe = _model_config(model_section, n_nodes=1, seed=train_cfg.seed)
@@ -289,7 +299,7 @@ def _resolve_eval(args):
     # weights files written before the split was recorded fall back to the defaults
     split = header.get("split_step", ft.train_steps)
     fraction = header.get("validation_fraction", TrainConfig.validation_fraction)
-    if not isinstance(split, int) or not isinstance(fraction, float):
+    if not is_int(split) or not isinstance(fraction, float):
         raise UsageError(f"{args.weights} records split_step {split!r} and "
                          f"validation_fraction {fraction!r}; expected an int and a float")
     cfg = params.config

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_field_types
 from .graph import RegionGraph
 from . import tensor as tc
 from .tensor import Tensor
@@ -84,6 +84,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_nodes < 1 or self.t_in < 1 or self.k < 1 or not self.channels:
             raise UsageError("n_nodes, t_in, k must be >= 1 and channels non-empty")
         if self.in_channels < 1 or self.kernel_width < 1 or min(self.channels) < 1:

@@ -21,6 +21,7 @@ along with the tensor so a checkpoint can be applied to new data.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -563,19 +564,23 @@ def prepare_from_dir(directory: str | Path, train_steps: int) -> FeatureTensor:
 # -- dataset container ----------------------------------------------------------
 
 _DATASET_MAGIC = "FLOODNOWCAST-DATASET"
-_DATASET_VERSION = 1
+_DATASET_VERSION = 2   # 2: the sidecar carries the payload's sha256
 
 
 def save_dataset(ft: FeatureTensor, path: str | Path) -> None:
     """Write the tensor container: ASCII shape header, float64 LE payload,
-    uint8 labels; normalization stats and grid metadata go to `<path>.json`."""
+    uint8 labels; normalization stats, grid metadata and the payload's sha256
+    go to `<path>.json`."""
     path = Path(path)
     n, c, t = ft.values.shape
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         fh.write(f"{_DATASET_MAGIC} {_DATASET_VERSION} {n} {c} {t}\n".encode())
-        fh.write(ft.values.astype("<f8").tobytes())
-        fh.write(ft.labels.astype(np.uint8).tobytes())
+        for part in (ft.values.astype("<f8").tobytes(), ft.labels.astype(np.uint8).tobytes()):
+            fh.write(part)
+            digest.update(part)
     sidecar = {
+        "payload_sha256": digest.hexdigest(),
         "channels": list(CHANNELS),
         "node_ids": ft.node_ids,
         "grid": {"start": format_utc(ft.grid.start), "step_minutes": ft.grid.step_minutes,
@@ -598,16 +603,22 @@ def load_dataset(path: str | Path) -> FeatureTensor:
             or not all(v.isdecimal() for v in header[1:])):
         raise UsageError(f"{path} is not a dataset container")
     version, n, c, t = (int(v) for v in header[1:])
+    if version == 1:
+        raise UsageError(f"{path} is a version-1 dataset container, which carries no "
+                         f"payload checksum; re-run `prepare` to rewrite it")
     if version != _DATASET_VERSION:
         raise UsageError(f"unsupported dataset version {version}")
     size = n * c * t * 8
     if len(payload) != size + n * t:
         raise UsageError(f"{path} payload is {len(payload)} bytes; its header "
                          f"({n} x {c} x {t}) needs {size + n * t}")
-    values = np.frombuffer(payload, dtype="<f8", count=n * c * t).reshape(n, c, t).copy()
-    labels = np.frombuffer(payload, dtype=np.uint8, offset=size).reshape(n, t).astype(np.int64)
     with open(str(path) + ".json") as fh:
         sidecar = json.load(fh)
+    if hashlib.sha256(payload).hexdigest() != sidecar.get("payload_sha256"):
+        raise DomainError(f"dataset payload checksum mismatch in {path}: its bytes "
+                          f"differ from those `prepare` wrote")
+    values = np.frombuffer(payload, dtype="<f8", count=n * c * t).reshape(n, c, t).copy()
+    labels = np.frombuffer(payload, dtype=np.uint8, offset=size).reshape(n, t).astype(np.int64)
     grid = TimeGrid(start=parse_utc(sidecar["grid"]["start"]),
                     count=sidecar["grid"]["count"],
                     step_minutes=sidecar["grid"]["step_minutes"])

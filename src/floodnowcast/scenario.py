@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_field_types
 from .graph import NODES_HEADER, StaticFeatures, UnitNode, build_adjacency
 from .pipeline import CHANNELS, FeatureTensor, format_utc, label_flood_classes, parse_utc
 
@@ -86,6 +86,7 @@ class ScenarioConfig:
     min_report_correlation: float = 0.3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_nodes < 4:
             raise UsageError(f"n_nodes must be >= 4, got {self.n_nodes}")
         if self.n_timesteps < 26:  # two default windows (t_in 12 + horizon 1)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, TrainingDiverged, UsageError
+from .errors import DomainError, TrainingDiverged, UsageError, check_field_types
 from .graph import RegionGraph
 from .metrics import ConfusionMatrix, MetricsReport, confusion, macro_metrics
 from .model import (
@@ -50,6 +50,7 @@ __all__ = [
     "fit_windows",
     "window_batch",
     "WindowPredictions",
+    "eval_batch_windows",
     "predict_windows",
     "train",
     "evaluate_windows",
@@ -59,7 +60,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-EVAL_BATCH = 128
+# Working-set budget of one eval-mode forward call (one core's L2 cache). The
+# per-window cost is flat while a batch's activations stay in cache and rises
+# once they spill, so eval batches are sized to this budget, not to a count.
+EVAL_BATCH_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,7 @@ class TrainConfig:
     validation_fraction: float = 0.15
 
     def __post_init__(self):
+        check_field_types(self)
         if self.learning_rate < 0:
             raise UsageError("learning_rate must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
@@ -88,9 +93,8 @@ class TrainConfig:
             raise UsageError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise UsageError("validation_fraction must be in (0, 1)")
-        if self.split_step is not None and (
-                type(self.split_step) is not int or self.split_step < 1):
-            raise UsageError(f"split_step must be an int >= 1, got {self.split_step!r}")
+        if self.split_step is not None and self.split_step < 1:
+            raise UsageError(f"split_step must be >= 1, got {self.split_step!r}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
@@ -272,16 +276,27 @@ class WindowPredictions(NamedTuple):
     nll: np.ndarray      # (W,) uniform-weight cross-entropy, mean over nodes
 
 
+def eval_batch_windows(config: ModelConfig) -> int:
+    """Windows per eval-mode ``forward`` call: as many as fit ``EVAL_BATCH_BYTES``
+    with one (N, C, T) activation at the widest channel count plus one (N, N)
+    spatial attention map per window, and at least one."""
+    per_window = 8 * config.n_nodes * (
+        max(config.in_channels, *config.channels) * config.t_in + config.n_nodes)
+    return max(1, EVAL_BATCH_BYTES // per_window)
+
+
 def predict_windows(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
                     ends: np.ndarray, ablation: str = "none") -> WindowPredictions:
     """The single eval path: one eval-mode ``forward`` per window, in batches
-    of ``EVAL_BATCH``. History, metrics, confusion matrices and prediction
-    files are all read off the returned arrays."""
+    of :func:`eval_batch_windows`. ``forward`` is bitwise independent of the
+    batch size, so the batching moves no output. History, metrics, confusion
+    matrices and prediction files are all read off the returned arrays."""
     if len(ends) == 0:
         raise UsageError("no windows to score")
+    batch = eval_batch_windows(params.config)
     batches = []
-    for i in range(0, len(ends), EVAL_BATCH):
-        xs, ys = window_batch(dataset, ends[i:i + EVAL_BATCH], params.config.t_in,
+    for i in range(0, len(ends), batch):
+        xs, ys = window_batch(dataset, ends[i:i + batch], params.config.t_in,
                               params.config.horizon)
         logits, probs = forward(xs, graph, params, training=False, ablation=ablation)
         z = logits.data - logits.data.max(axis=-1, keepdims=True)

@@ -266,6 +266,7 @@ def ordering_runs(tmp_path_factory):
             "root": tmp_path_factory}
 
 
+@pytest.mark.slow
 def test_criterion_6_qualitative_orderings(ordering_runs):
     runs = ordering_runs["runs"]
     graph_wins = sum(1 for r in runs if r["f1_full"] >= r["f1_graph_off"])
@@ -281,6 +282,7 @@ def test_criterion_6_qualitative_orderings(ordering_runs):
             f"{channel_wins}/3, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_overfit_sanity():
     started = time.perf_counter()
     hits = 0
@@ -303,6 +305,7 @@ def test_criterion_7_overfit_sanity():
             f"{'; '.join(details)}; {hits}/3 seeds reached 0.95, {elapsed:.0f}s")
 
 
+@pytest.mark.slow  # shares the criterion-6 fixture
 def test_criterion_8_determinism_of_best_run(ordering_runs, tmp_path):
     runs = ordering_runs["runs"]
     best = max(runs, key=lambda r: r["f1_full"])

@@ -252,6 +252,33 @@ def test_dataset_payload_length_mismatch_exits_2(workspace, tmp_path, capsys, ch
                                  "--out", str(tmp_path / "e")])
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_dataset_payload_bit_flip_exits_4(workspace, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    container = data / "dataset.bin"
+    raw = bytearray(container.read_bytes())
+    raw[raw.index(b"\n") + 100] ^= 0x40
+    container.write_bytes(bytes(raw))
+    assert main([command, "--dataset", str(data), "--weights",
+                 str(workspace / "run" / "weights.bin"), "--out", str(tmp_path / "e")]) == 4
+    err = capsys.readouterr().err
+    assert "checksum mismatch" in err and "Traceback" not in err
+
+
+def test_dataset_version_1_container_exits_2(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    container = data / "dataset.bin"
+    raw = container.read_bytes()
+    assert raw.startswith(b"FLOODNOWCAST-DATASET 2 ")
+    container.write_bytes(raw.replace(b" 2 ", b" 1 ", 1))
+    err = _assert_usage_error(capsys, ["evaluate", "--dataset", str(data), "--weights",
+                                       str(workspace / "run" / "weights.bin"),
+                                       "--out", str(tmp_path / "e")])
+    assert "version-1" in err and "prepare" in err
+
+
 def test_weights_header_not_json_exits_2(workspace, tmp_path, capsys):
     weights = tmp_path / "weights.bin"
     payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)[1]
@@ -260,11 +287,14 @@ def test_weights_header_not_json_exits_2(workspace, tmp_path, capsys):
                                  "--weights", str(weights), "--out", str(tmp_path / "e")])
 
 
-@pytest.mark.parametrize("key", ["split_step", "validation_fraction"])
-def test_weights_header_bad_split_exits_2(workspace, tmp_path, capsys, key):
+# a bool split_step passed an isinstance(int) check and scored the wrong windows
+@pytest.mark.parametrize("key,value", [("split_step", "x"), ("validation_fraction", "x"),
+                                       ("split_step", True)],
+                         ids=["split_step", "validation_fraction", "split_step_true"])
+def test_weights_header_bad_split_exits_2(workspace, tmp_path, capsys, key, value):
     header, payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)
     weights = tmp_path / "weights.bin"
-    weights.write_bytes(json.dumps({**json.loads(header), key: "x"}).encode() + b"\n" + payload)
+    weights.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
     _assert_usage_error(capsys, ["evaluate", "--dataset", str(workspace / "data"),
                                  "--weights", str(weights), "--out", str(tmp_path / "e")])
 
@@ -285,6 +315,46 @@ def test_model_config_out_of_range_exits_2(workspace, tmp_path, capsys, model):
     err = _assert_usage_error(capsys, ["train", "--dataset", str(workspace / "data"),
                                        "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert "must be >= 1" in err
+
+
+def _changed(section, **change):
+    return {**TRAIN_CFG, section: {**TRAIN_CFG[section], **change}}
+
+
+# most of these ended in a traceback (TypeError, IndexError or AttributeError);
+# a string or bool patience was accepted
+@pytest.mark.parametrize("command,config", [
+    ("train", _changed("train", epochs=1.0)),
+    ("train", _changed("train", batch_size=8.0)),
+    ("train", _changed("train", seed=1.5)),
+    ("train", _changed("train", dropout_rate="x")),
+    ("train", _changed("train", patience="2")),
+    ("train", _changed("train", patience=True)),
+    ("train", [1, 2]),
+    ("train", {**TRAIN_CFG, "model": [1]}),
+    ("train", {**TRAIN_CFG, "train": "x"}),
+    ("train", _changed("model", k=2.0)),
+    ("train", _changed("model", channels=[8.0])),
+    ("train", _changed("model", channels=8)),
+    ("train", _changed("model", t_in=6.0)),
+    ("train", _changed("model", horizon=1.0)),
+    ("tune", {**TRAIN_CFG, "grid": [1]}),
+    ("generate", {**SCENARIO_CFG, "n_nodes": 6.0}),
+    ("generate", {**SCENARIO_CFG, "seed": 2.5}),
+    ("generate", [1, 2]),
+], ids=["epochs", "batch_size", "seed", "dropout_rate", "patience", "patience_bool",
+        "top_level", "model_section", "train_section", "k", "channels_entry",
+        "channels_scalar", "t_in", "horizon", "grid_section", "scenario_n_nodes",
+        "scenario_seed", "scenario_top_level"])
+def test_config_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    if command == "generate":
+        argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+    else:
+        argv = [command, "--dataset", str(workspace / "data"), "--config", str(cfg),
+                "--out", str(tmp_path / "r")]
+    _assert_usage_error(capsys, argv)
 
 
 # 250.0 and 0 are also outside this 96-step dataset; 50.0 is inside it, where a

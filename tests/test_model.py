@@ -234,8 +234,8 @@ def test_forward_batched_matches_single():
     batched, _ = forward(np.stack([x, x2]), graph, params)
     single_a, _ = forward(x, graph, params)
     single_b, _ = forward(x2, graph, params)
-    np.testing.assert_allclose(batched.data[0], single_a.data, atol=1e-12)
-    np.testing.assert_allclose(batched.data[1], single_b.data, atol=1e-12)
+    np.testing.assert_array_equal(batched.data[0], single_a.data)
+    np.testing.assert_array_equal(batched.data[1], single_b.data)
 
 
 def _permuted_params(params: ModelParams, p: np.ndarray) -> ModelParams:

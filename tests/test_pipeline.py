@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 
 import numpy as np
@@ -357,6 +359,10 @@ def test_dataset_round_trip_bitwise(tmp_path):
     assert back.train_steps == ft.train_steps
     assert back.grid == ft.grid
     np.testing.assert_array_equal(back.channel_mean, ft.channel_mean)
+    # the sidecar records the sha256 of everything after the header line
+    sidecar = json.loads((tmp_path / "dataset.bin.json").read_text())
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    assert sidecar["payload_sha256"] == hashlib.sha256(payload).hexdigest()
     # serialization is deterministic
     save_dataset(back, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()

@@ -9,9 +9,11 @@ from floodnowcast.model import ModelConfig, forward, init_params, named_paramete
 from floodnowcast.pipeline import CHANNELS, TimeGrid, assemble
 import floodnowcast.tensor as tensor
 from floodnowcast.tensor import Tape, Tensor
+import floodnowcast.training as training
 from floodnowcast.training import (
     TrainConfig,
     cross_entropy,
+    eval_batch_windows,
     evaluate_windows,
     fit_windows,
     inverse_frequency_weights,
@@ -169,6 +171,32 @@ def test_predict_windows_matches_forward_per_window():
         assert scored.nll[row] == pytest.approx(cross_entropy(logits, y).item(), abs=1e-12)
         np.testing.assert_array_equal(scored.labels[row], y[0])
     np.testing.assert_array_equal(scored.preds, scored.probs.argmax(axis=-1))
+
+
+def test_predict_windows_is_bitwise_independent_of_the_batch_size(monkeypatch):
+    ft = _toy_dataset(seed=3)
+    graph = _toy_graph(seed=3)
+    params = init_params(_model_cfg())
+    ends = np.arange(5, 59)
+    window_bytes = 8 * 5 * (8 * 6 + 5)   # 5 nodes, 8 channels x 6 steps + 5
+    scored = {}
+    for per_call in (1, 7, len(ends)):   # 7 leaves a partial last batch
+        monkeypatch.setattr(training, "EVAL_BATCH_BYTES", per_call * window_bytes)
+        assert eval_batch_windows(params.config) == per_call
+        scored[per_call] = predict_windows(ft, graph, params, ends)
+    for per_call in (7, len(ends)):
+        for a, b in zip(scored[per_call], scored[1]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_eval_batch_rule():
+    # 8 bytes x 50 nodes x (32 channels x 12 steps + 50) per window: 12 in 2 MiB
+    assert eval_batch_windows(ModelConfig(n_nodes=50)) == 12
+    assert eval_batch_windows(ModelConfig(n_nodes=256)) == 1
+    # one window alone exceeds the budget: still one window per call
+    assert eval_batch_windows(ModelConfig(n_nodes=2000)) == 1
+    # the widest activation may be the input: 8 x 50 x (64 x 12 + 50) bytes
+    assert eval_batch_windows(ModelConfig(n_nodes=50, in_channels=64, channels=(8,))) == 6
 
 
 def test_window_batch_shapes_and_alignment():
