@@ -3,7 +3,7 @@
 Subcommands::
 
     generate   scenario config  -> scenario CSV directory
-    prepare    scenario dir     -> dataset container (+ graph inputs)
+    prepare    scenario dir     -> dataset container + region graph (graph.bin)
     train      dataset + config -> checkpoint, history, test metrics
     tune       dataset + config -> leaderboard + best config
     evaluate   dataset + weights -> metrics report for one split
@@ -33,8 +33,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import DomainError, TrainingDiverged, UsageError, is_int
-from .graph import RegionGraph, build_adjacency, load_nodes_csv, save_adjacency_csv
+from .errors import DomainError, TrainingDiverged, UsageError, check_header, parse_header
+from .graph import RegionGraph, load_nodes_csv, save_adjacency_csv
 from .model import (
     ABLATIONS,
     ModelConfig,
@@ -72,15 +72,10 @@ def _sha256(path: Path) -> str:
 
 def _load_json(path: str | Path, what: str) -> dict:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        raw = Path(path).read_bytes()
     except FileNotFoundError as exc:
         raise UsageError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"{what} file {path} must hold a JSON object")
-    return data
+    return parse_header(raw, {}, f"{what} file {path}")
 
 
 def _section(cfg_all: dict, key: str) -> dict:
@@ -155,10 +150,10 @@ def _model_config(section: dict, n_nodes: int, seed: int) -> ModelConfig:
 def _load_prepared(dataset_dir: str, channels: str, k: int, ablation: str
                    ) -> tuple[FeatureTensor, RegionGraph]:
     directory = Path(dataset_dir)
-    container = directory / "dataset.bin"
-    if not container.exists():
-        raise UsageError(f"no dataset.bin under {directory}; run `prepare` first")
-    ft = load_dataset(container)
+    for name in ("dataset.bin", "graph.bin"):
+        if not (directory / name).exists():
+            raise UsageError(f"no {name} under {directory}; re-run `prepare` to write it")
+    ft = load_dataset(directory / "dataset.bin")
     if channels == "physics-only":
         ft = physics_only(ft)
     nodes = load_nodes_csv(directory / "nodes.csv")
@@ -167,7 +162,7 @@ def _load_prepared(dataset_dir: str, channels: str, k: int, ablation: str
     if ablation == "graph-off":
         graph = RegionGraph.edgeless(nodes, k=k)
     else:
-        graph = RegionGraph.build(nodes, k=k)
+        graph = RegionGraph.load(directory / "graph.bin", nodes, k=k)
     return ft, graph
 
 
@@ -201,8 +196,9 @@ def cmd_prepare(args, argv) -> int:
     src_nodes = Path(args.scenario) / "nodes.csv"
     if Path(args.scenario).resolve() != out.resolve():
         shutil.copyfile(src_nodes, out / "nodes.csv")
-    nodes = load_nodes_csv(out / "nodes.csv")
-    save_adjacency_csv([n.id for n in nodes], build_adjacency(nodes), out / "adjacency.csv")
+    graph = RegionGraph.build(load_nodes_csv(out / "nodes.csv"), k=ModelConfig.k)
+    save_adjacency_csv(graph.node_ids, graph.adjacency, out / "adjacency.csv")
+    graph.save(out / "graph.bin")
     run.finish()
     print(f"dataset prepared: {ft.n_nodes} nodes x {ft.n_steps} steps, "
           f"train span {ft.train_steps}")
@@ -286,22 +282,24 @@ def cmd_tune(args, argv) -> int:
     return 0
 
 
+# the weights header entries `train` adds for `evaluate` and `predict`
+_TRAIN_RECORD = {"ablation": "str", "channels": "str", "split_step": "int",
+                 "validation_fraction": "float"}
+
+
 def _resolve_eval(args):
     header = read_weights_header(args.weights)
-    ablation = header.get("ablation", "none")
-    channels = header.get("channels", "all")
+    check_header(header, _TRAIN_RECORD, args.weights)
+    ablation, channels = header["ablation"], header["channels"]
+    split, fraction = header["split_step"], header["validation_fraction"]
+    if ablation not in ABLATIONS or channels not in CHANNEL_VIEWS:
+        raise UsageError(f"{args.weights} records ablation {ablation!r} and channels "
+                         f"{channels!r}; expected one of {ABLATIONS} and {CHANNEL_VIEWS}")
     params = load_weights(args.weights)
-    k = params.config.k
-    ft, graph = _load_prepared(args.dataset, channels, k, ablation)
+    ft, graph = _load_prepared(args.dataset, channels, params.config.k, ablation)
     if params.config.n_nodes != ft.n_nodes:
         raise UsageError(f"weights expect {params.config.n_nodes} nodes, "
                          f"dataset has {ft.n_nodes}")
-    # weights files written before the split was recorded fall back to the defaults
-    split = header.get("split_step", ft.train_steps)
-    fraction = header.get("validation_fraction", TrainConfig.validation_fraction)
-    if not is_int(split) or not isinstance(fraction, float):
-        raise UsageError(f"{args.weights} records split_step {split!r} and "
-                         f"validation_fraction {fraction!r}; expected an int and a float")
     cfg = params.config
     if args.split == "train":
         ends, _ = fit_windows(ft, cfg.t_in, cfg.horizon, split, fraction)

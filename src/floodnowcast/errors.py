@@ -5,10 +5,14 @@ exit codes: caller mistakes (bad arguments, mismatched shapes, malformed
 config) raise :class:`UsageError`; bad numbers in otherwise well-formed
 calls (NaN/Inf, out-of-range values, divergence) raise :class:`DomainError`.
 :func:`check_field_types` is the one type check of the config dataclasses,
-whose values may come from any JSON.
+whose values may come from any JSON; :func:`parse_header` is the one check
+of the JSON headers and sidecars of the on-disk containers, and
+:func:`header_sha256` their checksum.
 """
 
 import dataclasses
+import hashlib
+import json
 
 
 class UsageError(ValueError):
@@ -32,15 +36,25 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# annotation (as a string, under ``from __future__ import annotations``) ->
-# (accepts a value, what it expects)
+def _is_number(value) -> bool:
+    return is_int(value) or isinstance(value, float)
+
+
+def _sequence_of(kind, accepts):
+    return lambda v: isinstance(v, kind) and all(map(accepts, v))
+
+
+# annotation (as a string, under ``from __future__ import annotations``) or
+# JSON header type -> (accepts a value, what it expects)
 _FIELD_TYPES = {
     "int": (is_int, "an integer"),
     "Optional[int]": (lambda v: v is None or is_int(v), "an integer or null"),
-    "float": (lambda v: is_int(v) or isinstance(v, float), "a number"),
+    "float": (_is_number, "a number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[int, ...]": (lambda v: isinstance(v, tuple) and all(map(is_int, v)),
-                        "a list of integers"),
+    "tuple[int, ...]": (_sequence_of(tuple, is_int), "a list of integers"),
+    "list[int]": (_sequence_of(list, is_int), "a list of integers"),
+    "list[str]": (_sequence_of(list, lambda v: isinstance(v, str)), "a list of strings"),
+    "list[float]": (_sequence_of(list, _is_number), "a list of numbers"),
 }
 
 
@@ -52,3 +66,50 @@ def check_field_types(config) -> None:
         value = getattr(config, f.name)
         if not accepts(value):
             raise UsageError(f"{f.name} must be {expected}, got {value!r}")
+
+
+def check_header(value, spec, source, key: str = "") -> None:
+    """Raise :class:`UsageError` naming ``source`` and the key unless the
+    parsed ``value`` matches ``spec`` (see :func:`parse_header`)."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise UsageError(f"{source}{': ' + key if key else ''} must hold a JSON "
+                             f"object, got {type(value).__name__}")
+        for name, inner in spec.items():
+            path = f"{key}.{name}" if key else name
+            if name not in value:
+                raise UsageError(f"{source} has no {path!r} entry")
+            check_header(value[name], inner, source, path)
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            raise UsageError(f"{source}: {key} must be a JSON list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            check_header(item, spec[0], source, f"{key}[{i}]")
+    else:
+        accepts, expected = _FIELD_TYPES[spec]
+        if not accepts(value):
+            raise UsageError(f"{source}: {key} must be {expected}, got {value!r:.80}")
+
+
+def parse_header(raw: bytes, spec: dict, source) -> dict:
+    """Parse a container's JSON header (or sidecar) and check it against ``spec``.
+
+    ``spec`` maps every required key to a type name of ``_FIELD_TYPES``, to
+    a nested spec (a JSON object) or to a one-item list holding the spec of
+    each element (a JSON list of objects). Bytes that are not UTF-8 JSON, a
+    value that is not an object, a missing key or a value of the wrong type
+    raise :class:`UsageError` naming ``source`` and the key.
+    """
+    try:
+        header = json.loads(raw.decode())
+    except ValueError as exc:     # JSONDecodeError and UnicodeDecodeError
+        raise UsageError(f"{source} is not valid JSON: {exc}") from exc
+    check_header(header, spec, source)
+    return header
+
+
+def header_sha256(header: dict) -> str:
+    """sha256 of a header's entries other than ``sha256`` itself, as canonical
+    JSON; a header that also records its payload's sha256 covers both."""
+    rest = {k: v for k, v in header.items() if k != "sha256"}
+    return hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()

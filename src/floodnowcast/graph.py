@@ -15,11 +15,18 @@ recurrence products) adds terms in ascending value order, through
 :func:`floodnowcast.tensor.sorted_matmul`. That makes every derived quantity
 a function of the node *multiset*, so relabeling nodes produces bit-identical
 permuted matrices; graphs are reproducible artifacts, not "close enough" ones.
+
+``prepare`` builds the graph once and writes ``graph.bin``
+(:meth:`RegionGraph.save`); every later command loads it
+(:meth:`RegionGraph.load`), which recomputes only the cheap arrays and is
+bitwise equal to a fresh :meth:`RegionGraph.build`.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, header_sha256, parse_header
 from .tensor import sorted_matmul, sorted_sum
 
 __all__ = [
@@ -301,26 +308,35 @@ def scaled_laplacian(lap: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, fl
     """
     if np.max(np.abs(lap - lap.T), initial=0.0) > 1e-12:
         raise UsageError("laplacian must be symmetric")
-    n = lap.shape[0]
     lam = power_iteration_lambda_max(lap, tol=tol)
     if lam < 1e-12:
         warnings.warn("laplacian is (numerically) zero; using lambda_max = 2")
         lam = 2.0
     else:
         lam = lam * (1.0 + tol)
-    scaled = (2.0 / lam) * lap - np.eye(n)
-    return scaled, float(lam)
+    return _rescale(lap, lam), float(lam)
 
 
-def chebyshev_basis(scaled: np.ndarray, k: int) -> list[np.ndarray]:
-    """Chebyshev matrices ``T_0 = I, T_1 = L~, T_j = 2 L~ T_{j-1} - T_{j-2}``."""
+def _rescale(lap: np.ndarray, lam: float) -> np.ndarray:
+    return (2.0 / lam) * lap - np.eye(lap.shape[0])
+
+
+def chebyshev_basis(scaled: np.ndarray, k: int,
+                    stored: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
+    """Chebyshev matrices ``T_0 = I, T_1 = L~, T_j = 2 L~ T_{j-1} - T_{j-2}``.
+
+    ``stored`` holds ``T_2, T_3, ...`` computed earlier from the same ``L~``
+    (read from ``graph.bin``); they are used as they are and the recurrence
+    continues from the last two terms.
+    """
     if k < 1:
         raise UsageError(f"K must be >= 1, got {k}")
     n = scaled.shape[0]
     basis = [np.eye(n)]
     if k > 1:
         basis.append(scaled.copy())
-    for _ in range(2, k):
+    basis.extend(stored[:max(0, k - 2)])
+    for _ in range(len(basis), k):
         basis.append(2.0 * sorted_matmul(scaled, basis[-1]) - basis[-2])
     return basis
 
@@ -356,7 +372,10 @@ class RegionGraph:
             raise UsageError(f"adjacency shape {adjacency.shape} does not match {len(nodes)} nodes")
         lap = laplacian(adjacency)
         scaled, lam = scaled_laplacian(lap)
-        basis = chebyshev_basis(scaled, k)
+        return cls._assemble(nodes, adjacency, lap, scaled, lam, chebyshev_basis(scaled, k))
+
+    @classmethod
+    def _assemble(cls, nodes, adjacency, lap, scaled, lam, basis) -> "RegionGraph":
         arrays = [adjacency, np.diag(lap).copy(), lap, scaled, *basis]
         for arr in arrays:
             arr.setflags(write=False)
@@ -375,6 +394,66 @@ class RegionGraph:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return cls.from_adjacency(nodes, np.zeros((len(nodes), len(nodes))), k=k)
+
+    def save(self, path: str | Path) -> None:
+        """Write ``graph.bin``: one JSON header line, then float64 LE matrices.
+
+        The payload is the adjacency followed by ``T_2 .. T_{K-1}``, the
+        Chebyshev terms that cost matrix products; the Laplacian, the scaled
+        Laplacian, ``T_0`` and ``T_1`` are recomputed on load from the
+        adjacency and the recorded ``lambda_max``. The header's
+        ``payload_sha256`` covers the payload and its ``sha256`` every other
+        header entry.
+        """
+        payload = b"".join(a.astype("<f8").tobytes()
+                           for a in (self.adjacency, *self.cheb_basis[2:]))
+        header = {"format": _GRAPH_FORMAT, "version": _GRAPH_VERSION,
+                  "node_ids": self.node_ids, "order": self.order,
+                  "lambda_max": self.lambda_max,
+                  "payload_sha256": hashlib.sha256(payload).hexdigest()}
+        header["sha256"] = header_sha256(header)
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            fh.write(payload)
+
+    @classmethod
+    def load(cls, path: str | Path, nodes: Sequence[UnitNode], k: int = 3) -> "RegionGraph":
+        """Read ``graph.bin`` for ``nodes`` at Chebyshev order ``k``.
+
+        A smaller ``k`` than the stored order drops terms, a larger one
+        continues the recurrence; either way the result is bitwise equal to
+        ``RegionGraph.build(nodes, k)``. A malformed or truncated file, or
+        node ids that differ from ``nodes``, raise :class:`UsageError`; a
+        checksum mismatch raises :class:`DomainError`.
+        """
+        with open(path, "rb") as fh:
+            header = parse_header(fh.readline(), _GRAPH_SPEC, path)
+            payload = fh.read()
+        if header["format"] != _GRAPH_FORMAT or header["version"] != _GRAPH_VERSION:
+            raise UsageError(f"{path} is not a version-{_GRAPH_VERSION} graph file")
+        n, order = len(header["node_ids"]), header["order"]
+        size = 8 * n * n * max(1, order - 1)
+        if len(payload) != size:
+            raise UsageError(f"{path} payload is {len(payload)} bytes; its header "
+                             f"({n} nodes, order {order}) needs {size}")
+        if (header_sha256(header) != header["sha256"]
+                or hashlib.sha256(payload).hexdigest() != header["payload_sha256"]):
+            raise DomainError(f"graph checksum mismatch in {path}: its bytes differ "
+                              f"from those `prepare` wrote")
+        if header["node_ids"] != [node.id for node in nodes]:
+            raise UsageError(f"{path} was written for other node ids; re-run `prepare`")
+        matrices = np.frombuffer(payload, dtype="<f8").reshape(-1, n, n).copy()
+        adjacency, lam = matrices[0], header["lambda_max"]
+        lap = laplacian(adjacency)
+        scaled = _rescale(lap, lam)
+        return cls._assemble(nodes, adjacency, lap, scaled, lam,
+                             chebyshev_basis(scaled, k, list(matrices[1:])))
+
+
+_GRAPH_FORMAT = "floodnowcast-graph"
+_GRAPH_VERSION = 1
+_GRAPH_SPEC = {"format": "str", "version": "int", "node_ids": "list[str]", "order": "int",
+               "lambda_max": "float", "payload_sha256": "str", "sha256": "str"}
 
 
 # -- CSV interfaces ----------------------------------------------------------

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, check_field_types
+from .errors import DomainError, UsageError, check_field_types, parse_header
 from .graph import RegionGraph
 from . import tensor as tc
 from .tensor import Tensor
@@ -113,9 +113,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["channels"] = tuple(d["channels"])
-        return cls(**d)
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise UsageError(f"unknown model config keys: {sorted(unknown)}")
+        return cls(**{**d, "channels": tuple(d["channels"])})
 
 
 @dataclass
@@ -382,18 +383,28 @@ def save_weights(params: ModelParams, path: str | Path,
         fh.write(payload)
 
 
+_WEIGHTS_SPEC = {
+    "format": "str",
+    "version": "int",
+    "config": {f.name: "list[int]" if f.name == "channels" else f.type
+               for f in fields(ModelConfig)},
+    "channel_order": "list[int]",
+    "params": [{"name": "str", "shape": "list[int]"}],
+    "sha256": "str",
+}
+
+
 def _parse_weights_header(line: bytes, path: str | Path) -> dict:
-    try:
-        header = json.loads(line.decode())
-    except ValueError as exc:     # JSONDecodeError and UnicodeDecodeError
-        raise UsageError(f"{path} has no JSON weights header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != _WEIGHTS_FORMAT:
+    header = parse_header(line, _WEIGHTS_SPEC, path)
+    if header["format"] != _WEIGHTS_FORMAT:
         raise UsageError(f"{path} is not a weights file")
+    if header["version"] != _WEIGHTS_VERSION:
+        raise UsageError(f"unsupported weights version {header['version']} in {path}")
     return header
 
 
 def read_weights_header(path: str | Path) -> dict:
-    """The JSON header of a weights file, without loading the payload."""
+    """The checked JSON header of a weights file, without loading the payload."""
     with open(path, "rb") as fh:
         return _parse_weights_header(fh.readline(), path)
 
@@ -402,24 +413,30 @@ def load_weights(path: str | Path) -> ModelParams:
     with open(path, "rb") as fh:
         header = _parse_weights_header(fh.readline(), path)
         payload = fh.read()
-    if header.get("version") != _WEIGHTS_VERSION:
-        raise UsageError(f"unsupported weights version {header.get('version')}")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except UsageError as exc:
+        raise UsageError(f"{path}: config: {exc}") from exc
+    if header["channel_order"] != list(range(config.in_channels)):
+        raise UsageError(f"{path} records channel_order {header['channel_order']}; "
+                         f"expected {list(range(config.in_channels))}")
+    params = init_params(config)
+    named = named_parameters(params)
+    for spec, (name, t) in zip(header["params"], named):
+        if (spec["name"], tuple(spec["shape"])) != (name, t.shape):
+            raise UsageError(f"{path} lists parameter {spec['name']} {spec['shape']}; "
+                             f"its config needs {name} {list(t.shape)}")
+    if len(header["params"]) != len(named):
+        raise UsageError(f"{path} lists {len(header['params'])} parameter groups; "
+                         f"its config needs {len(named)}")
+    size = 8 * sum(t.data.size for _, t in named)
+    if len(payload) != size:
+        raise UsageError(f"{path} payload is {len(payload)} bytes; its header needs {size}")
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise DomainError(f"weights payload checksum mismatch in {path}")
-    config = ModelConfig.from_dict(header["config"])
-    params = init_params(config)
-    named = dict(named_parameters(params))
     offset = 0
-    for spec in header["params"]:
-        name, shape = spec["name"], tuple(spec["shape"])
-        if name not in named:
-            raise UsageError(f"unknown parameter group {name!r} in {path}")
-        size = int(np.prod(shape)) * 8
-        arr = np.frombuffer(payload[offset:offset + size], dtype="<f8").reshape(shape)
-        if named[name].shape != shape:
-            raise UsageError(f"parameter {name} has shape {shape}, expected {named[name].shape}")
-        named[name].data = arr.copy()
-        offset += size
-    if offset != len(payload):
-        raise DomainError(f"weights payload has {len(payload) - offset} trailing bytes")
+    for _, t in named:
+        t.data = np.frombuffer(payload, dtype="<f8", count=t.data.size,
+                               offset=offset).reshape(t.shape).copy()
+        offset += 8 * t.data.size
     return params

@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, header_sha256, parse_header
 from .graph import UnitNode
 
 __all__ = [
@@ -564,13 +564,24 @@ def prepare_from_dir(directory: str | Path, train_steps: int) -> FeatureTensor:
 # -- dataset container ----------------------------------------------------------
 
 _DATASET_MAGIC = "FLOODNOWCAST-DATASET"
-_DATASET_VERSION = 2   # 2: the sidecar carries the payload's sha256
+_DATASET_VERSION = 2   # 2: the sidecar carries the payload's sha256 (and its own)
+
+
+_SIDECAR_SPEC = {
+    "sha256": "str",
+    "payload_sha256": "str",
+    "channels": "list[str]",
+    "node_ids": "list[str]",
+    "grid": {"start": "str", "step_minutes": "int", "count": "int"},
+    "normalization": {"mean": "list[float]", "std": "list[float]"},
+    "train_steps": "int",
+}
 
 
 def save_dataset(ft: FeatureTensor, path: str | Path) -> None:
     """Write the tensor container: ASCII shape header, float64 LE payload,
     uint8 labels; normalization stats, grid metadata and the payload's sha256
-    go to `<path>.json`."""
+    go to `<path>.json`, whose own ``sha256`` covers its other entries."""
     path = Path(path)
     n, c, t = ft.values.shape
     digest = hashlib.sha256()
@@ -589,6 +600,7 @@ def save_dataset(ft: FeatureTensor, path: str | Path) -> None:
                           "std": [float(v) for v in ft.channel_std]},
         "train_steps": ft.train_steps,
     }
+    sidecar["sha256"] = header_sha256(sidecar)
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -612,9 +624,12 @@ def load_dataset(path: str | Path) -> FeatureTensor:
     if len(payload) != size + n * t:
         raise UsageError(f"{path} payload is {len(payload)} bytes; its header "
                          f"({n} x {c} x {t}) needs {size + n * t}")
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    if hashlib.sha256(payload).hexdigest() != sidecar.get("payload_sha256"):
+    sidecar_path = Path(str(path) + ".json")
+    sidecar = parse_header(sidecar_path.read_bytes(), _SIDECAR_SPEC, sidecar_path)
+    if header_sha256(sidecar) != sidecar["sha256"]:
+        raise DomainError(f"{sidecar_path} checksum mismatch: its entries differ from "
+                          f"those `prepare` wrote")
+    if hashlib.sha256(payload).hexdigest() != sidecar["payload_sha256"]:
         raise DomainError(f"dataset payload checksum mismatch in {path}: its bytes "
                           f"differ from those `prepare` wrote")
     values = np.frombuffer(payload, dtype="<f8", count=n * c * t).reshape(n, c, t).copy()
@@ -626,4 +641,4 @@ def load_dataset(path: str | Path) -> FeatureTensor:
                          node_ids=list(sidecar["node_ids"]),
                          channel_mean=np.array(sidecar["normalization"]["mean"]),
                          channel_std=np.array(sidecar["normalization"]["std"]),
-                         train_steps=int(sidecar["train_steps"]))
+                         train_steps=sidecar["train_steps"])

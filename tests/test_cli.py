@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 
 import floodnowcast.training as training
 from floodnowcast.cli import main
+from floodnowcast.graph import RegionGraph, load_nodes_csv
 from floodnowcast.pipeline import load_dataset
 from floodnowcast.training import fit_windows, make_windows, window_batch
 
@@ -73,7 +75,7 @@ def test_generate_bad_config_exits_2(tmp_path):
 def test_prepare_outputs(workspace):
     data = workspace / "data"
     for name in ("dataset.bin", "dataset.bin.json", "nodes.csv", "adjacency.csv",
-                 "manifest.json"):
+                 "graph.bin", "manifest.json"):
         assert (data / name).exists(), name
     sidecar = json.loads((data / "dataset.bin.json").read_text())
     assert sidecar["train_steps"] == 60
@@ -425,3 +427,128 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# -- graph.bin: built once by `prepare`, loaded by every later command ------------------
+
+
+def test_commands_after_prepare_do_not_rebuild_the_graph(workspace, tmp_path, monkeypatch):
+    calls = Counter()
+    build = RegionGraph.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls[command] += 1
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RegionGraph, "build", classmethod(counting))
+    data, weights = workspace / "data", str(workspace / "run" / "weights.bin")
+    for command, argv in [
+            ("prepare", ["--scenario", str(workspace / "scen"), "--train-steps", "60"]),
+            ("train", ["--dataset", str(data), "--config", str(workspace / "train.json")]),
+            ("tune", ["--dataset", str(data), "--config", str(workspace / "train.json")]),
+            ("evaluate", ["--dataset", str(data), "--weights", weights]),
+            ("predict", ["--dataset", str(data), "--weights", weights])]:
+        assert main([command, *argv, "--out", str(tmp_path / command)]) == 0
+    assert calls == Counter({"prepare": 1})
+
+
+def test_manifests_list_the_graph_checksum(workspace, tmp_path):
+    graph_bin = str(workspace / "data" / "graph.bin")
+    digest = hashlib.sha256((workspace / "data" / "graph.bin").read_bytes()).hexdigest()
+    prepared = json.loads((workspace / "data" / "manifest.json").read_text())
+    assert prepared["outputs"]["graph.bin"] == digest
+    manifests = [workspace / "run" / "manifest.json"]
+    for command in ("evaluate", "predict"):
+        assert main([command, "--dataset", str(workspace / "data"), "--weights",
+                     str(workspace / "run" / "weights.bin"),
+                     "--out", str(tmp_path / command)]) == 0
+        manifests.append(tmp_path / command / "manifest.json")
+    for manifest in manifests:
+        assert json.loads(manifest.read_text())["inputs"][graph_bin] == digest
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_missing_graph_bin_exits_2(workspace, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    (data / "graph.bin").unlink()
+    extra = (["--config", str(workspace / "train.json")] if command == "train"
+             else ["--weights", str(workspace / "run" / "weights.bin")])
+    err = _assert_usage_error(capsys, [command, "--dataset", str(data), *extra,
+                                       "--out", str(tmp_path / "o")])
+    assert "graph.bin" in err and "prepare" in err
+
+
+def test_graph_bin_payload_bit_flip_exits_4(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    raw = bytearray((data / "graph.bin").read_bytes())
+    raw[raw.index(b"\n") + 100] ^= 0x01
+    (data / "graph.bin").write_bytes(bytes(raw))
+    assert main(["evaluate", "--dataset", str(data), "--weights",
+                 str(workspace / "run" / "weights.bin"), "--out", str(tmp_path / "e")]) == 4
+    err = capsys.readouterr().err
+    assert "graph checksum mismatch" in err and "Traceback" not in err
+
+
+def _truncate(data):
+    (data / "graph.bin").write_bytes((data / "graph.bin").read_bytes()[:-8])
+
+
+def _list_header(data):
+    payload = (data / "graph.bin").read_bytes().split(b"\n", 1)[1]
+    (data / "graph.bin").write_bytes(b"[1]\n" + payload)
+
+
+def _other_node_ids(data):
+    nodes = load_nodes_csv(data / "nodes.csv")
+    RegionGraph.build(nodes[::-1]).save(data / "graph.bin")
+
+
+@pytest.mark.parametrize("change", [_truncate, _list_header, _other_node_ids])
+def test_malformed_graph_bin_exits_2(workspace, tmp_path, capsys, change):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    change(data)
+    err = _assert_usage_error(capsys, ["evaluate", "--dataset", str(data), "--weights",
+                                       str(workspace / "run" / "weights.bin"),
+                                       "--out", str(tmp_path / "e")])
+    assert "graph.bin" in err
+
+
+# -- hand-edited sidecars and headers --------------------------------------------------
+
+
+def _edit_sidecar(text):
+    return lambda data, weights: (data / "dataset.bin.json").write_text(text(
+        json.loads((data / "dataset.bin.json").read_text())))
+
+
+def _edit_weights_config(config):
+    def edit(data, weights):
+        header, payload = weights.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["config"] = config(header["config"])
+        weights.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return edit
+
+
+@pytest.mark.parametrize("edit,where,key", [
+    (_edit_sidecar(lambda s: "[1]"), "dataset.bin.json", "JSON object"),
+    (_edit_sidecar(lambda s: "{not json"), "dataset.bin.json", "JSON"),
+    (_edit_sidecar(lambda s: json.dumps({k: v for k, v in s.items() if k != "grid"})),
+     "dataset.bin.json", "'grid'"),
+    (_edit_weights_config(lambda c: {k: v for k, v in c.items() if k != "channels"}),
+     "weights.bin", "'config.channels'"),
+    (_edit_weights_config(lambda c: list(c)), "weights.bin", "config"),
+], ids=["sidecar_list", "sidecar_not_json", "sidecar_without_grid",
+        "config_without_channels", "config_list"])
+def test_hand_edited_sidecar_or_header_exits_2(workspace, tmp_path, capsys, edit, where, key):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    weights = tmp_path / "weights.bin"
+    shutil.copyfile(workspace / "run" / "weights.bin", weights)
+    edit(data, weights)
+    err = _assert_usage_error(capsys, ["evaluate", "--dataset", str(data), "--weights",
+                                       str(weights), "--out", str(tmp_path / "e")])
+    assert where in err and key in err

@@ -310,3 +310,45 @@ def test_nodes_csv_round_trip(tmp_path):
     i0, j0, w0 = lines[1].split(",")
     i, j = graph.node_ids.index(i0), graph.node_ids.index(j0)
     assert float(w0) == graph.adjacency[i, j]
+
+
+# -- graph.bin ----------------------------------------------------------------------
+
+
+def _assert_graphs_bitwise_equal(loaded, built):
+    assert loaded.nodes == built.nodes
+    assert loaded.lambda_max == built.lambda_max
+    for name in ("adjacency", "degree", "laplacian", "scaled_laplacian"):
+        a, b = getattr(loaded, name), getattr(built, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+    assert len(loaded.cheb_basis) == len(built.cheb_basis)
+    for t_loaded, t_built in zip(loaded.cheb_basis, built.cheb_basis):
+        assert t_loaded.tobytes() == t_built.tobytes()
+        assert not t_loaded.flags.writeable
+
+
+@pytest.mark.parametrize("stored_k", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_loaded_graph_equals_build_bitwise(tmp_path, stored_k, k):
+    # 48 nodes: a T_3 continued from a stored T_2 goes through the sorted product
+    nodes = _random_nodes(48, seed=80)
+    RegionGraph.build(nodes, k=stored_k).save(tmp_path / "graph.bin")
+    _assert_graphs_bitwise_equal(RegionGraph.load(tmp_path / "graph.bin", nodes, k=k),
+                                 RegionGraph.build(nodes, k=k))
+
+
+def test_graph_file_stores_adjacency_and_costly_terms_only(tmp_path):
+    nodes = _random_nodes(10, seed=81)
+    RegionGraph.build(nodes, k=4).save(tmp_path / "graph.bin")
+    header, payload = (tmp_path / "graph.bin").read_bytes().split(b"\n", 1)
+    assert len(payload) == 3 * 10 * 10 * 8        # adjacency, T_2, T_3
+    assert b'"order": 4' in header
+
+
+def test_graph_load_rejects_other_node_ids(tmp_path):
+    nodes = _random_nodes(6, seed=82)
+    RegionGraph.build(nodes).save(tmp_path / "graph.bin")
+    with pytest.raises(UsageError, match="other node ids"):
+        RegionGraph.load(tmp_path / "graph.bin", nodes[::-1])

@@ -138,6 +138,10 @@ def test_tensor_reuse_chain_rule():
 
 _CONST16 = np.linspace(-1.0, 1.0, 16)
 
+
+def _square_sum(y):
+    return (y * y).sum()
+
 OPS = {
     "add": lambda t: (t + Tensor(_CONST16)).sum(),
     "add_broadcast": lambda t: (t.reshape(t.size, 1) + Tensor(np.arange(3.0))).sum(),
@@ -156,6 +160,12 @@ OPS = {
     "softmax": lambda t: (softmax(t.reshape(4, t.size // 4), axis=1) * Tensor(np.arange(t.size, dtype=float).reshape(4, t.size // 4))).sum(),
     "log_softmax": lambda t: (log_softmax(t.reshape(4, t.size // 4), axis=1) * 0.25).sum(),
     "conv1d_same": lambda t: conv1d_same(t.reshape(2, 2, t.size // 4), Tensor(np.linspace(-1, 1, 12).reshape(3, 2, 2))).sum(),
+    # a 2-D left operand against a batched right one: the w3/u3 row of the attention code
+    "matmul_row_batched": lambda t: _square_sum(matmul(t.reshape(1, t.size), Tensor(np.linspace(-1, 1, 2 * t.size * 3).reshape(2, t.size, 3)))),
+    # the kernel's gradient (the differentiated tensor, mixed to 12 taps, is the kernel)
+    "conv1d_same_kernel": lambda t: _square_sum(conv1d_same(Tensor(np.linspace(-2, 2, 20).reshape(2, 2, 5)), matmul(t.reshape(4, 4), Tensor(np.linspace(-1, 1, 12).reshape(4, 3))).reshape(3, 2, 2))),
+    # a kernel wider than the window: width 5 on 3 steps, taps past both ends
+    "conv1d_same_wide": lambda t: _square_sum(conv1d_same(matmul(t.reshape(8, 2), Tensor(np.linspace(-1, 1, 6).reshape(2, 3))).reshape(4, 2, 3), Tensor(np.linspace(-1, 1, 20).reshape(5, 2, 2)))),
 }
 
 
