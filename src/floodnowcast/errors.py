@@ -108,8 +108,8 @@ def parse_header(raw: bytes, spec: dict, source) -> dict:
     return header
 
 
-def header_sha256(header: dict) -> str:
-    """sha256 of a header's entries other than ``sha256`` itself, as canonical
-    JSON; a header that also records its payload's sha256 covers both."""
-    rest = {k: v for k, v in header.items() if k != "sha256"}
+def header_sha256(header: dict, key: str = "sha256") -> str:
+    """sha256 of a header's entries other than its own checksum ``key``, as
+    canonical JSON; a header that also records its payload's sha256 covers both."""
+    rest = {k: v for k, v in header.items() if k != key}
     return hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()

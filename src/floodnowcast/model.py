@@ -37,7 +37,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, check_field_types, parse_header
+from .errors import (DomainError, UsageError, check_field_types, check_header,
+                     header_sha256, parse_header)
 from .graph import RegionGraph
 from . import tensor as tc
 from .tensor import Tensor
@@ -262,18 +263,25 @@ def cheb_graph_conv(x: Tensor, cheb_basis: Sequence[np.ndarray], s_norm: Tensor,
     """Spectral graph convolution with attention-gated Chebyshev filters.
 
     Per timestep: ``Y[:, :, t] = sum_k (T_k ⊙ S) X[:, :, t] theta_k``.
+    ``cheb_basis[0]`` must be ``T_0 = I`` (else :class:`UsageError`), so its
+    gated term is the row scaling ``diag(S) X``; it is computed as one, which
+    is exact (each output has a single nonzero product term), instead of as
+    an N x N matrix product.
     """
-    if len(cheb_basis) != len(theta):
-        raise UsageError(f"basis length {len(cheb_basis)} != theta length {len(theta)}")
+    if not cheb_basis or len(cheb_basis) != len(theta):
+        raise UsageError(f"basis length {len(cheb_basis)} must equal theta length "
+                         f"{len(theta)} and be >= 1")
     b, n, c, t = x.shape
+    if not np.array_equal(cheb_basis[0], np.eye(n)):
+        raise UsageError(f"cheb_basis[0] must be T_0 = I of order {n}")
     # fold time into the feature axis so each filter order is one batched matmul
     flat = x.transpose((0, 1, 3, 2)).reshape(b, n, t * c)   # (B, N, T*C)
-    acc = None
-    for t_k, theta_k in zip(cheb_basis, theta):
+    diag = (Tensor(cheb_basis[0]) * s_norm).sum(axis=-1, keepdims=True)   # (B or 1, N, 1)
+    acc = tc.matmul((diag * flat).reshape(b, n, t, c), theta[0])           # (B, N, T, C_out)
+    for t_k, theta_k in zip(cheb_basis[1:], theta[1:]):
         gate = Tensor(t_k) * s_norm                      # (B or 1, N, N)
         mixed = tc.matmul(gate, flat).reshape(b, n, t, c)
-        term = tc.matmul(mixed, theta_k)                 # (B, N, T, C_out)
-        acc = term if acc is None else acc + term
+        acc = acc + tc.matmul(mixed, theta_k)
     return acc.transpose((0, 1, 3, 2))                   # (B, N, C_out, T)
 
 
@@ -352,7 +360,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
 # -- weight persistence ---------------------------------------------------------
 
 _WEIGHTS_FORMAT = "floodnowcast-weights"
-_WEIGHTS_VERSION = 1
+_WEIGHTS_VERSION = 2   # 2: the header carries its own sha256 (`header_sha256`)
 
 
 def save_weights(params: ModelParams, path: str | Path,
@@ -360,8 +368,9 @@ def save_weights(params: ModelParams, path: str | Path,
     """Versioned container: one JSON header line, then float64 LE payloads.
 
     The header lists every parameter group with its shape, in payload order,
-    plus a sha256 of the concatenated payload bytes. ``extra`` entries (e.g.
-    the ablation a checkpoint was trained under) are merged into the header.
+    plus a sha256 of the concatenated payload bytes (``sha256``). ``extra``
+    entries (e.g. the ablation a checkpoint was trained under) are merged
+    into the header, and ``header_sha256`` covers every other header entry.
     """
     named = named_parameters(params)
     payload = b"".join(t.data.astype("<f8").tobytes() for _, t in named)
@@ -378,6 +387,7 @@ def save_weights(params: ModelParams, path: str | Path,
         if overlap:
             raise UsageError(f"extra header keys collide with core keys: {sorted(overlap)}")
         header.update(extra)
+    header["header_sha256"] = header_sha256(header, "header_sha256")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(payload)
@@ -391,15 +401,20 @@ _WEIGHTS_SPEC = {
     "channel_order": "list[int]",
     "params": [{"name": "str", "shape": "list[int]"}],
     "sha256": "str",
+    "header_sha256": "str",
 }
 
 
 def _parse_weights_header(line: bytes, path: str | Path) -> dict:
-    header = parse_header(line, _WEIGHTS_SPEC, path)
+    header = parse_header(line, {"format": "str", "version": "int"}, path)
     if header["format"] != _WEIGHTS_FORMAT:
         raise UsageError(f"{path} is not a weights file")
+    if header["version"] == 1:
+        raise UsageError(f"{path} is a version-1 weights file, whose header carries no "
+                         f"checksum; re-run `train` to rewrite it")
     if header["version"] != _WEIGHTS_VERSION:
         raise UsageError(f"unsupported weights version {header['version']} in {path}")
+    check_header(header, _WEIGHTS_SPEC, path)
     return header
 
 
@@ -413,6 +428,9 @@ def load_weights(path: str | Path) -> ModelParams:
     with open(path, "rb") as fh:
         header = _parse_weights_header(fh.readline(), path)
         payload = fh.read()
+    if header_sha256(header, "header_sha256") != header["header_sha256"]:
+        raise DomainError(f"weights header checksum mismatch in {path}: its entries "
+                          f"differ from those `train` wrote")
     try:
         config = ModelConfig.from_dict(header["config"])
     except UsageError as exc:

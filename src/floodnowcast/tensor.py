@@ -24,10 +24,15 @@ that permutes rows/columns of its operands (e.g. relabeling graph nodes) then
 reproduces bit-identical outputs. The canonical mode costs an O(n log n) sort
 per reduction and materializes matmul products, so it is meant for
 verification fixtures and small-scale inference, not training loops.
+
+Importing this module fixes glibc's malloc thresholds for the whole process
+(see ``_pin_malloc_thresholds``); it changes no value, only where freed
+arrays go.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from contextlib import contextmanager
@@ -54,6 +59,28 @@ __all__ = [
 ]
 
 _state = threading.local()
+
+# glibc serves a block at or above its mmap threshold with a fresh mapping and
+# raises that threshold only when such a block is freed; it also returns the
+# heap top to the system above twice the threshold. A training step's 2-6 MB
+# arrays would therefore be mapped (or trimmed) and faulted in again on every
+# step. Fixing both thresholds, at glibc's own ceiling for the dynamic mmap
+# threshold and twice that, keeps them in the heap for the whole process.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters of <malloc.h>
+
+
+def _pin_malloc_thresholds() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):   # no mallopt in this C library
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_pin_malloc_thresholds()
 
 
 def _active_tape() -> Optional["Tape"]:
@@ -310,12 +337,25 @@ def sorted_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matmul_per_leading_index(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """``ad @ bd`` for a batched ``ad`` and a 2-D ``bd``: one GEMM per index of
+    the leading axis, the inner axes folded into rows, so ``out[i]`` depends
+    on ``ad[i]`` alone and not on the batch size."""
+    k, m = bd.shape
+    out = np.empty(ad.shape[:-1] + (m,))
+    for i in range(ad.shape[0]):
+        np.matmul(ad[i].reshape(-1, k), bd, out=out[i].reshape(-1, m))
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy semantics on the trailing two axes.
 
     Both operands need at least two dimensions (reshape a vector to a row or
     a column); leading axes broadcast. Under :func:`canonical_reductions` the
-    contraction sums terms in value order.
+    contraction sums terms in value order. Otherwise a batched left operand
+    times a 2-D right one runs one GEMM per leading index forward, and one
+    2-D GEMM over all folded rows for each gradient.
     """
     a = _as_tensor(a)
     b = _as_tensor(b)
@@ -324,12 +364,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise UsageError(f"matmul needs operands of rank >= 2, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise UsageError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+    fold = ad.ndim > 2 and bd.ndim == 2
 
     with np.errstate(over="ignore"):
-        out = sorted_matmul(ad, bd) if _canonical() else np.matmul(ad, bd)
+        if _canonical():
+            out = sorted_matmul(ad, bd)
+        elif fold:
+            out = _matmul_per_leading_index(ad, bd)
+        else:
+            out = np.matmul(ad, bd)
 
     def rule(g):
         ga = gb = None
+        if fold:
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                ga = (g2 @ bd.T).reshape(ad.shape)
+            if b.requires_grad:
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g2
+            return (ga, gb)
         if a.requires_grad:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
         if b.requires_grad:

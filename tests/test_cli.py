@@ -281,6 +281,29 @@ def test_dataset_version_1_container_exits_2(workspace, tmp_path, capsys):
     assert "version-1" in err and "prepare" in err
 
 
+def test_weights_header_digit_flip_exits_4(workspace, tmp_path, capsys):
+    weights = tmp_path / "weights.bin"
+    raw = (workspace / "run" / "weights.bin").read_bytes()
+    assert b'"horizon": 1' in raw
+    weights.write_bytes(raw.replace(b'"horizon": 1', b'"horizon": 5', 1))   # one bit
+    assert main(["evaluate", "--dataset", str(workspace / "data"), "--weights",
+                 str(weights), "--out", str(tmp_path / "e")]) == 4
+    err = capsys.readouterr().err
+    assert "header checksum mismatch" in err and "Traceback" not in err
+
+
+def test_weights_version_1_exits_2(workspace, tmp_path, capsys):
+    header, payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    assert header.pop("version") == 2
+    del header["header_sha256"]
+    weights = tmp_path / "weights.bin"
+    weights.write_bytes(json.dumps({**header, "version": 1}).encode() + b"\n" + payload)
+    err = _assert_usage_error(capsys, ["evaluate", "--dataset", str(workspace / "data"),
+                                       "--weights", str(weights), "--out", str(tmp_path / "e")])
+    assert "version-1" in err and "train" in err
+
+
 def test_weights_header_not_json_exits_2(workspace, tmp_path, capsys):
     weights = tmp_path / "weights.bin"
     payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)[1]

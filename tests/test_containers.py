@@ -5,8 +5,7 @@ truncation offset, a bit to flip or a header key to drop. `evaluate` must
 exit 2 (usage), 3 (I/O) or 4 (numeric) with a message on stderr; exit 1 (an
 uncaught exception) fails the test. Exit 0 is accepted only where the damage
 leaves the file meaning the same (say, an exponent's ``e`` flipped to
-``E``), or for a flipped bit inside the weights header: format version 1
-gives that header no checksum, so a changed digit in, say, ``seed`` loads.
+``E`` in the sidecar).
 """
 
 import contextlib
@@ -96,7 +95,6 @@ def _same_meaning(name: str, before: bytes, after: bytes) -> bool:
 def test_damaged_file_exits_with_a_message(prepared, name, kind):
     path = prepared / ("run" if name == "weights.bin" else "data") / name
     original = path.read_bytes()
-    header_len = len(_header_split(name, original)[0])
     # a truncation offset, a bit, or an index into the header's keys
     bound = {"truncate": len(original) - 1, "flip": 8 * len(original) - 1, "drop": 1000}
 
@@ -118,9 +116,8 @@ def test_damaged_file_exits_with_a_message(prepared, name, kind):
             target = work / ("weights.bin" if name == "weights.bin" else f"data/{name}")
             target.write_bytes(damaged)
             code, err = _evaluate(work)
-        unchecked = (name == "weights.bin" and kind == "flip" and where // 8 < header_len
-                     or _same_meaning(name, original, damaged))
-        assert code in ((0, 2, 3, 4) if unchecked else (2, 3, 4)), (kind, where, err)
+        same = _same_meaning(name, original, damaged)
+        assert code in ((0, 2, 3, 4) if same else (2, 3, 4)), (kind, where, err)
         if code:
             assert err.strip() and "Traceback" not in err
 

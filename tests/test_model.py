@@ -161,6 +161,13 @@ def test_cheb_conv_rejects_length_mismatch():
                         [Tensor(np.eye(2)), Tensor(np.eye(2))])
 
 
+def test_cheb_conv_rejects_a_first_term_other_than_identity():
+    x, s = Tensor(np.ones((1, 2, 1, 1))), Tensor(np.full((1, 2, 2), 0.5))
+    for first in (np.array([[0.0, -1.0], [-1.0, 0.0]]), 2.0 * np.eye(2), np.eye(3)):
+        with pytest.raises(UsageError, match="T_0 = I"):
+            cheb_graph_conv(x, [first], s, [Tensor(np.eye(1))])
+
+
 # -- temporal convolution ----------------------------------------------------------
 
 

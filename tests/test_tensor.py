@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -162,6 +163,8 @@ OPS = {
     "conv1d_same": lambda t: conv1d_same(t.reshape(2, 2, t.size // 4), Tensor(np.linspace(-1, 1, 12).reshape(3, 2, 2))).sum(),
     # a 2-D left operand against a batched right one: the w3/u3 row of the attention code
     "matmul_row_batched": lambda t: _square_sum(matmul(t.reshape(1, t.size), Tensor(np.linspace(-1, 1, 2 * t.size * 3).reshape(2, t.size, 3)))),
+    # a rank-4 batch against a 2-D weight, both differentiated: theta, the head
+    "matmul_rank4_both": lambda t: _square_sum(matmul(t.reshape(2, 2, 2, 2), matmul(t.reshape(2, 8), Tensor(np.linspace(-1, 1, 24).reshape(8, 3))))),
     # the kernel's gradient (the differentiated tensor, mixed to 12 taps, is the kernel)
     "conv1d_same_kernel": lambda t: _square_sum(conv1d_same(Tensor(np.linspace(-2, 2, 20).reshape(2, 2, 5)), matmul(t.reshape(4, 4), Tensor(np.linspace(-1, 1, 12).reshape(4, 3))).reshape(3, 2, 2))),
     # a kernel wider than the window: width 5 on 3 steps, taps past both ends
@@ -176,6 +179,32 @@ def test_per_op_gradients_match_finite_differences(name):
         rng = np.random.default_rng(100 + seed)
         x = Tensor(rng.normal(scale=0.8, size=16))  # <= 64 elements
         assert gradient_check(f, x, eps=1e-5) < 1e-4, f"{name} seed {seed}"
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 6), (5, 4, 7, 6)])
+def test_batched_matmul_of_one_window_is_bitwise_that_of_the_batch(shape):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(6, 9))
+    batch = matmul(Tensor(x), Tensor(w)).data
+    for i in range(shape[0]):
+        assert matmul(Tensor(x[i:i + 1]), Tensor(w)).data.tobytes() == batch[i:i + 1].tobytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are glibc's")
+def test_freed_step_sized_arrays_are_reused_without_page_faults():
+    import resource   # Unix only
+
+    def cycle():
+        arrays = [np.ones(1 << 18) for _ in range(20)]   # 20 arrays of 2 MiB
+        del arrays
+
+    cycle()   # the first cycle grows the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        cycle()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 10 * 100, f"{faults / 10:.0f} minor faults per cycle"
 
 
 def test_conv1d_same_identity_kernel():
