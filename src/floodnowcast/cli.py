@@ -248,11 +248,16 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
+_DEFAULT_GRID = {"learning_rates": [1e-3, 3e-3], "dropout_rates": [0.0, 0.3]}
+
+
 def cmd_tune(args, argv) -> int:
     cfg_all, train_cfg, model_section = _train_setup(args)
-    grid = _section(cfg_all, "grid")
-    lrs = grid.get("learning_rates", [1e-3, 3e-3])
-    drops = grid.get("dropout_rates", [0.0, 0.3])
+    grid = {**_DEFAULT_GRID, **_section(cfg_all, "grid")}
+    unknown = set(grid) - set(_DEFAULT_GRID)
+    if unknown:
+        raise UsageError(f"unknown grid config keys: {sorted(unknown)}")
+    check_header(grid, {key: "list[float]" for key in grid}, "config section 'grid'")
     mc_probe = _model_config(model_section, n_nodes=1, seed=train_cfg.seed)
     ft, graph = _load_prepared(args.dataset, args.channels, mc_probe.k, args.ablation)
     model_cfg = _model_config(model_section, n_nodes=ft.n_nodes, seed=train_cfg.seed)
@@ -264,7 +269,8 @@ def cmd_tune(args, argv) -> int:
     run.add_input(args.config)
     run.add_input_dir(args.dataset)
 
-    best, leaderboard = tune(ft, graph, train_cfg, lrs, drops, model_cfg,
+    best, leaderboard = tune(ft, graph, train_cfg, grid["learning_rates"],
+                             grid["dropout_rates"], model_cfg,
                              ablation=args.ablation)
     with open(out / "leaderboard.csv", "w") as fh:
         fh.write("rank,learning_rate,dropout_rate,val_macro_f1,val_loss,best_epoch\n")
@@ -288,8 +294,7 @@ _TRAIN_RECORD = {"ablation": "str", "channels": "str", "split_step": "int",
 
 
 def _resolve_eval(args):
-    header = read_weights_header(args.weights)
-    check_header(header, _TRAIN_RECORD, args.weights)
+    header = read_weights_header(args.weights, _TRAIN_RECORD)
     ablation, channels = header["ablation"], header["channels"]
     split, fraction = header["split_step"], header["validation_fraction"]
     if ablation not in ABLATIONS or channels not in CHANNEL_VIEWS:
@@ -343,8 +348,9 @@ def cmd_predict(args, argv) -> int:
 
 
 def cmd_gradcheck(args, argv) -> int:
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seeds < 1 or args.seed < 0:
+        raise UsageError(f"--seeds must be >= 1 and --seed >= 0, got {args.seeds} "
+                         f"and {args.seed}")
     worst_overall = 0.0
     results = {}
     for i in range(args.seeds):

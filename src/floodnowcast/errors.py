@@ -6,8 +6,15 @@ config) raise :class:`UsageError`; bad numbers in otherwise well-formed
 calls (NaN/Inf, out-of-range values, divergence) raise :class:`DomainError`.
 :func:`check_field_types` is the one type check of the config dataclasses,
 whose values may come from any JSON; :func:`parse_header` is the one check
-of the JSON headers and sidecars of the on-disk containers, and
-:func:`header_sha256` their checksum.
+of JSON headers, sidecars and config files; :func:`convert_rows` turns a CSV
+row that does not convert into a :class:`UsageError` naming its line.
+
+The containers ``dataset.bin``, ``graph.bin`` and ``weights.bin`` are sealed
+here and nowhere else: :func:`seal` adds ``sha256`` (the payload's digest)
+and ``header_sha256`` (that of every other entry, as canonical JSON).
+:func:`read_sealed` checks the format, the version, the caller's spec (exit
+2) and then the header digest (exit 4); :func:`check_payload` the payload's
+length (exit 2) and then its digest (exit 4).
 """
 
 import dataclasses
@@ -108,8 +115,81 @@ def parse_header(raw: bytes, spec: dict, source) -> dict:
     return header
 
 
-def header_sha256(header: dict, key: str = "sha256") -> str:
-    """sha256 of a header's entries other than its own checksum ``key``, as
-    canonical JSON; a header that also records its payload's sha256 covers both."""
-    rest = {k: v for k, v in header.items() if k != key}
+def convert_rows(rows, convert, source) -> list:
+    """``[convert(row) for row in rows]`` for CSV rows after a header line.
+
+    A short row (``csv.DictReader`` fills its missing fields with ``None``)
+    and a ``ValueError`` or ``TypeError`` raised while converting a row (a
+    non-numeric field) become a :class:`UsageError` naming ``source`` and the
+    row's line; the :class:`UsageError` or :class:`DomainError` of a row's
+    own checks gains the same prefix and keeps its class.
+    """
+    out = []
+    for line, row in enumerate(rows, start=2):
+        if None in row.values():
+            raise UsageError(f"{source} line {line}: too few fields")
+        try:
+            out.append(convert(row))
+        except (ValueError, TypeError) as exc:
+            kind = type(exc) if isinstance(exc, (UsageError, DomainError)) else UsageError
+            raise kind(f"{source} line {line}: {exc}") from exc
+    return out
+
+
+# -- sealed containers ----------------------------------------------------------
+
+
+def header_sha256(header: dict) -> str:
+    """sha256 of a header's entries other than ``header_sha256``, as canonical JSON."""
+    rest = {k: v for k, v in header.items() if k != "header_sha256"}
     return hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()
+
+
+def seal(header: dict, payload: bytes) -> dict:
+    """``header`` plus ``sha256`` (the payload's digest) and ``header_sha256``."""
+    sealed = {**header, "sha256": hashlib.sha256(payload).hexdigest()}
+    sealed["header_sha256"] = header_sha256(sealed)
+    return sealed
+
+
+def write_sealed(path, header: dict, payload: bytes) -> None:
+    """Write the sealed ``header`` as one JSON line, then ``payload``."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(seal(header, payload), sort_keys=True).encode() + b"\n")
+        fh.write(payload)
+
+
+def check_version(version: int, expected: int, source, command: str) -> None:
+    """The one version rule: any version but ``expected`` exits 2."""
+    if version != expected:
+        raise UsageError(f"{source} is a version-{version} file and floodnowcast reads "
+                         f"version {expected}: re-run `{command}` to rewrite it")
+
+
+def check_sealed(header: dict, spec: dict, source) -> dict:
+    """``header``, checked against ``spec`` (see :func:`parse_header`), then its digest."""
+    check_header(header, {**spec, "sha256": "str", "header_sha256": "str"}, source)
+    if header_sha256(header) != header["header_sha256"]:
+        raise DomainError(f"header checksum mismatch in {source}: it was damaged or edited")
+    return header
+
+
+def read_sealed(path, fmt: str, version: int, spec: dict, command: str
+                ) -> tuple[dict, bytes]:
+    """The checked header and the unchecked payload of a file ``command`` wrote."""
+    with open(path, "rb") as fh:
+        header = parse_header(fh.readline(), {"format": "str", "version": "int"}, path)
+        payload = fh.read()
+    if header["format"] != fmt:
+        raise UsageError(f"{path} is not a {fmt} file")
+    check_version(header["version"], version, path, command)
+    return check_sealed(header, spec, path), payload
+
+
+def check_payload(payload: bytes, size: int, header: dict, source) -> None:
+    """Raise unless ``payload`` is ``size`` bytes long (:class:`UsageError`) and
+    matches its sealed header's ``sha256`` (:class:`DomainError`)."""
+    if len(payload) != size:
+        raise UsageError(f"{source} payload is {len(payload)} bytes; its header needs {size}")
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+        raise DomainError(f"payload checksum mismatch in {source}: it was damaged or edited")

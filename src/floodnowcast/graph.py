@@ -25,8 +25,6 @@ bitwise equal to a fresh :meth:`RegionGraph.build`.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, header_sha256, parse_header
+from .errors import (DomainError, UsageError, check_payload, convert_rows, read_sealed,
+                     write_sealed)
 from .tensor import sorted_matmul, sorted_sum
 
 __all__ = [
@@ -396,25 +395,18 @@ class RegionGraph:
             return cls.from_adjacency(nodes, np.zeros((len(nodes), len(nodes))), k=k)
 
     def save(self, path: str | Path) -> None:
-        """Write ``graph.bin``: one JSON header line, then float64 LE matrices.
+        """Write ``graph.bin``, a sealed container (see :func:`errors.seal`).
 
-        The payload is the adjacency followed by ``T_2 .. T_{K-1}``, the
-        Chebyshev terms that cost matrix products; the Laplacian, the scaled
-        Laplacian, ``T_0`` and ``T_1`` are recomputed on load from the
-        adjacency and the recorded ``lambda_max``. The header's
-        ``payload_sha256`` covers the payload and its ``sha256`` every other
-        header entry.
+        The payload is the float64 LE adjacency followed by ``T_2 .. T_{K-1}``,
+        the Chebyshev terms that cost matrix products; the Laplacian, the
+        scaled Laplacian, ``T_0`` and ``T_1`` are recomputed on load from the
+        adjacency and the recorded ``lambda_max``.
         """
         payload = b"".join(a.astype("<f8").tobytes()
                            for a in (self.adjacency, *self.cheb_basis[2:]))
-        header = {"format": _GRAPH_FORMAT, "version": _GRAPH_VERSION,
-                  "node_ids": self.node_ids, "order": self.order,
-                  "lambda_max": self.lambda_max,
-                  "payload_sha256": hashlib.sha256(payload).hexdigest()}
-        header["sha256"] = header_sha256(header)
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(payload)
+        write_sealed(path, {"format": _GRAPH_FORMAT, "version": _GRAPH_VERSION,
+                            "node_ids": self.node_ids, "order": self.order,
+                            "lambda_max": self.lambda_max}, payload)
 
     @classmethod
     def load(cls, path: str | Path, nodes: Sequence[UnitNode], k: int = 3) -> "RegionGraph":
@@ -426,20 +418,10 @@ class RegionGraph:
         node ids that differ from ``nodes``, raise :class:`UsageError`; a
         checksum mismatch raises :class:`DomainError`.
         """
-        with open(path, "rb") as fh:
-            header = parse_header(fh.readline(), _GRAPH_SPEC, path)
-            payload = fh.read()
-        if header["format"] != _GRAPH_FORMAT or header["version"] != _GRAPH_VERSION:
-            raise UsageError(f"{path} is not a version-{_GRAPH_VERSION} graph file")
+        header, payload = read_sealed(path, _GRAPH_FORMAT, _GRAPH_VERSION, _GRAPH_SPEC,
+                                      "prepare")
         n, order = len(header["node_ids"]), header["order"]
-        size = 8 * n * n * max(1, order - 1)
-        if len(payload) != size:
-            raise UsageError(f"{path} payload is {len(payload)} bytes; its header "
-                             f"({n} nodes, order {order}) needs {size}")
-        if (header_sha256(header) != header["sha256"]
-                or hashlib.sha256(payload).hexdigest() != header["payload_sha256"]):
-            raise DomainError(f"graph checksum mismatch in {path}: its bytes differ "
-                              f"from those `prepare` wrote")
+        check_payload(payload, 8 * n * n * max(1, order - 1), header, path)
         if header["node_ids"] != [node.id for node in nodes]:
             raise UsageError(f"{path} was written for other node ids; re-run `prepare`")
         matrices = np.frombuffer(payload, dtype="<f8").reshape(-1, n, n).copy()
@@ -451,9 +433,8 @@ class RegionGraph:
 
 
 _GRAPH_FORMAT = "floodnowcast-graph"
-_GRAPH_VERSION = 1
-_GRAPH_SPEC = {"format": "str", "version": "int", "node_ids": "list[str]", "order": "int",
-               "lambda_max": "float", "payload_sha256": "str", "sha256": "str"}
+_GRAPH_VERSION = 2   # 2: the digests are `sha256` (payload) and `header_sha256`
+_GRAPH_SPEC = {"node_ids": "list[str]", "order": "int", "lambda_max": "float"}
 
 
 # -- CSV interfaces ----------------------------------------------------------
@@ -464,21 +445,19 @@ NODES_HEADER = ["id", "x", "y", "in_floodplain", "residential_ratio",
 
 def load_nodes_csv(path: str | Path) -> list[UnitNode]:
     """Read the node table (`id,x,y,in_floodplain,...` header, see NODES_HEADER)."""
-    nodes = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != NODES_HEADER:
             raise UsageError(f"unexpected nodes header {reader.fieldnames} in {path}")
-        for row in reader:
-            static = StaticFeatures(
+        nodes = convert_rows(reader, lambda row: UnitNode(
+            id=row["id"], x=float(row["x"]), y=float(row["y"]),
+            static=StaticFeatures(
                 in_floodplain=bool(int(row["in_floodplain"])),
                 residential_ratio=float(row["residential_ratio"]),
                 watershed_id=row["watershed_id"],
                 dist_coast=float(row["dist_coast"]),
                 dist_stream=float(row["dist_stream"]),
-            )
-            nodes.append(UnitNode(id=row["id"], x=float(row["x"]), y=float(row["y"]),
-                                  static=static))
+            )), path)
     if not nodes:
         raise UsageError(f"no nodes in {path}")
     return nodes

@@ -29,16 +29,14 @@ with a softmax.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, UsageError, check_field_types, check_header,
-                     header_sha256, parse_header)
+from .errors import (DomainError, UsageError, check_field_types, check_payload,
+                     read_sealed, write_sealed)
 from .graph import RegionGraph
 from . import tensor as tc
 from .tensor import Tensor
@@ -96,21 +94,12 @@ class ModelConfig:
             raise UsageError(f"kernel_width must be odd, got {self.kernel_width}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise UsageError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        if self.horizon < 0:
-            raise UsageError("horizon must be >= 0")
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.channels)
+        if self.horizon < 0 or self.seed < 0:
+            raise UsageError(f"horizon ({self.horizon}) and seed ({self.seed}) "
+                             f"must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes, "in_channels": self.in_channels,
-            "channels": list(self.channels), "k": self.k,
-            "kernel_width": self.kernel_width, "t_in": self.t_in,
-            "horizon": self.horizon, "dropout_rate": self.dropout_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -365,12 +354,11 @@ _WEIGHTS_VERSION = 2   # 2: the header carries its own sha256 (`header_sha256`)
 
 def save_weights(params: ModelParams, path: str | Path,
                  extra: Optional[dict] = None) -> None:
-    """Versioned container: one JSON header line, then float64 LE payloads.
+    """Sealed container (see :func:`errors.seal`): float64 LE payloads.
 
-    The header lists every parameter group with its shape, in payload order,
-    plus a sha256 of the concatenated payload bytes (``sha256``). ``extra``
-    entries (e.g. the ablation a checkpoint was trained under) are merged
-    into the header, and ``header_sha256`` covers every other header entry.
+    The header lists every parameter group with its shape, in payload order.
+    ``extra`` entries (e.g. the ablation a checkpoint was trained under) are
+    merged into the header.
     """
     named = named_parameters(params)
     payload = b"".join(t.data.astype("<f8").tobytes() for _, t in named)
@@ -380,57 +368,33 @@ def save_weights(params: ModelParams, path: str | Path,
         "config": params.config.to_dict(),
         "channel_order": list(range(params.config.in_channels)),
         "params": [{"name": name, "shape": list(t.shape)} for name, t in named],
-        "sha256": hashlib.sha256(payload).hexdigest(),
     }
     if extra:
-        overlap = set(extra) & set(header)
+        overlap = set(extra) & {*header, "sha256", "header_sha256"}
         if overlap:
             raise UsageError(f"extra header keys collide with core keys: {sorted(overlap)}")
         header.update(extra)
-    header["header_sha256"] = header_sha256(header, "header_sha256")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(payload)
+    write_sealed(path, header, payload)
 
 
 _WEIGHTS_SPEC = {
-    "format": "str",
-    "version": "int",
     "config": {f.name: "list[int]" if f.name == "channels" else f.type
                for f in fields(ModelConfig)},
     "channel_order": "list[int]",
     "params": [{"name": "str", "shape": "list[int]"}],
-    "sha256": "str",
-    "header_sha256": "str",
 }
 
 
-def _parse_weights_header(line: bytes, path: str | Path) -> dict:
-    header = parse_header(line, {"format": "str", "version": "int"}, path)
-    if header["format"] != _WEIGHTS_FORMAT:
-        raise UsageError(f"{path} is not a weights file")
-    if header["version"] == 1:
-        raise UsageError(f"{path} is a version-1 weights file, whose header carries no "
-                         f"checksum; re-run `train` to rewrite it")
-    if header["version"] != _WEIGHTS_VERSION:
-        raise UsageError(f"unsupported weights version {header['version']} in {path}")
-    check_header(header, _WEIGHTS_SPEC, path)
-    return header
-
-
-def read_weights_header(path: str | Path) -> dict:
-    """The checked JSON header of a weights file, without loading the payload."""
-    with open(path, "rb") as fh:
-        return _parse_weights_header(fh.readline(), path)
+def read_weights_header(path: str | Path, extra: Optional[dict] = None) -> dict:
+    """The checked header of a weights file; ``extra`` is the spec of the
+    entries ``save_weights``' ``extra`` wrote."""
+    return read_sealed(path, _WEIGHTS_FORMAT, _WEIGHTS_VERSION,
+                       {**_WEIGHTS_SPEC, **(extra or {})}, "train")[0]
 
 
 def load_weights(path: str | Path) -> ModelParams:
-    with open(path, "rb") as fh:
-        header = _parse_weights_header(fh.readline(), path)
-        payload = fh.read()
-    if header_sha256(header, "header_sha256") != header["header_sha256"]:
-        raise DomainError(f"weights header checksum mismatch in {path}: its entries "
-                          f"differ from those `train` wrote")
+    header, payload = read_sealed(path, _WEIGHTS_FORMAT, _WEIGHTS_VERSION, _WEIGHTS_SPEC,
+                                  "train")
     try:
         config = ModelConfig.from_dict(header["config"])
     except UsageError as exc:
@@ -447,11 +411,7 @@ def load_weights(path: str | Path) -> ModelParams:
     if len(header["params"]) != len(named):
         raise UsageError(f"{path} lists {len(header['params'])} parameter groups; "
                          f"its config needs {len(named)}")
-    size = 8 * sum(t.data.size for _, t in named)
-    if len(payload) != size:
-        raise UsageError(f"{path} payload is {len(payload)} bytes; its header needs {size}")
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-        raise DomainError(f"weights payload checksum mismatch in {path}")
+    check_payload(payload, 8 * sum(t.data.size for _, t in named), header, path)
     offset = 0
     for _, t in named:
         t.data = np.frombuffer(payload, dtype="<f8", count=t.data.size,

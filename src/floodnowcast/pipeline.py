@@ -21,7 +21,6 @@ along with the tensor so a checkpoint can be applied to new data.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
 import math
@@ -32,7 +31,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, header_sha256, parse_header
+from .errors import (DomainError, UsageError, check_payload, check_sealed, check_version,
+                     convert_rows, parse_header, seal)
 from .graph import UnitNode
 
 __all__ = [
@@ -73,7 +73,7 @@ EVENT_KINDS = ("report_311", "tweet", "activity_tile")
 def parse_utc(stamp: str) -> float:
     """ISO-8601 UTC timestamp to epoch seconds."""
     try:
-        dt = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        dt = datetime.fromisoformat(str(stamp).replace("Z", "+00:00"))
     except ValueError as exc:
         raise UsageError(f"bad timestamp {stamp!r}") from exc
     if dt.tzinfo is None:
@@ -293,10 +293,11 @@ def aggregate_activity(stream: EventStream, tile_to_node: dict[str, str],
     for rec in stream.records:
         if rec.tile_id is None:
             raise UsageError("activity event lacks a tile id")
-        if rec.tile_id not in tile_to_node:
-            raise UsageError(f"tile {rec.tile_id!r} missing from the tile->node map")
-        node = node_index[tile_to_node[rec.tile_id]]
-        per_node.setdefault(node, {}).setdefault(rec.timestamp, []).append(rec.value)
+        node = tile_to_node.get(rec.tile_id)
+        if node not in node_index:
+            raise UsageError(f"tile {rec.tile_id!r} maps to no known node ({node!r}) "
+                             f"in the tile->node map")
+        per_node.setdefault(node_index[node], {}).setdefault(rec.timestamp, []).append(rec.value)
 
     out = np.zeros((len(node_ids), grid.count))
     uncovered = []
@@ -433,21 +434,22 @@ def _read_csv(path: Path, expected_header: list[str]) -> list[dict]:
 
 
 def load_gauges(directory: Path) -> list[GaugeStation]:
-    rows = _read_csv(directory / "gauges.csv", ["id", "x", "y", "threshold"])
-    gauges = {r["id"]: GaugeStation(id=r["id"], x=float(r["x"]), y=float(r["y"]),
-                                    flood_threshold_elevation=float(r["threshold"]))
-              for r in rows}
-    readings = _read_csv(directory / "gauge_readings.csv",
-                         ["gauge_id", "timestamp", "rain_increment_mm", "water_elevation_m"])
-    for r in readings:
-        gid = r["gauge_id"]
-        if gid not in gauges:
-            raise UsageError(f"reading references unknown gauge {gid!r}")
-        gauges[gid].readings.append(GaugeReading(
+    path = directory / "gauges.csv"
+    gauges = {g.id: g for g in convert_rows(
+        _read_csv(path, ["id", "x", "y", "threshold"]),
+        lambda r: GaugeStation(id=r["id"], x=float(r["x"]), y=float(r["y"]),
+                               flood_threshold_elevation=float(r["threshold"])), path)}
+    path = directory / "gauge_readings.csv"
+    readings = convert_rows(
+        _read_csv(path, ["gauge_id", "timestamp", "rain_increment_mm", "water_elevation_m"]),
+        lambda r: (r["gauge_id"], GaugeReading(
             timestamp=parse_utc(r["timestamp"]),
             rain_increment_mm=float(r["rain_increment_mm"]),
-            water_elevation_m=float(r["water_elevation_m"]),
-        ))
+            water_elevation_m=float(r["water_elevation_m"]))), path)
+    for gid, reading in readings:
+        if gid not in gauges:
+            raise UsageError(f"reading references unknown gauge {gid!r}")
+        gauges[gid].readings.append(reading)
     out = []
     for g in gauges.values():
         g.readings.sort(key=lambda rec: rec.timestamp)
@@ -458,20 +460,21 @@ def load_gauges(directory: Path) -> list[GaugeStation]:
 
 
 def load_events(directory: Path) -> dict[str, EventStream]:
-    rows = _read_csv(directory / "events.csv",
-                     ["kind", "timestamp", "x", "y", "tile_id", "value"])
-    streams = {kind: EventStream(kind=kind) for kind in EVENT_KINDS}
-    for r in rows:
-        kind = r["kind"]
-        if kind not in streams:
-            raise UsageError(f"unknown event kind {kind!r} in events.csv")
-        streams[kind].records.append(EventRecord(
+    path = directory / "events.csv"
+    rows = convert_rows(
+        _read_csv(path, ["kind", "timestamp", "x", "y", "tile_id", "value"]),
+        lambda r: (r["kind"], EventRecord(
             timestamp=parse_utc(r["timestamp"]),
             value=float(r["value"]),
             x=float(r["x"]) if r["x"] else None,
             y=float(r["y"]) if r["y"] else None,
             tile_id=r["tile_id"] or None,
-        ))
+        )), path)
+    streams = {kind: EventStream(kind=kind) for kind in EVENT_KINDS}
+    for kind, record in rows:
+        if kind not in streams:
+            raise UsageError(f"unknown event kind {kind!r} in events.csv")
+        streams[kind].records.append(record)
     return {k: EventStream(kind=k, records=s.records) for k, s in streams.items()}
 
 
@@ -479,24 +482,25 @@ def load_tile_map(directory: Path) -> dict[str, str]:
     path = directory / "tiles.csv"
     if not path.exists():
         return {}
-    return {r["tile_id"]: r["node_id"]
-            for r in _read_csv(path, ["tile_id", "node_id"])}
+    return dict(convert_rows(_read_csv(path, ["tile_id", "node_id"]),
+                             lambda r: (r["tile_id"], r["node_id"]), path))
 
 
 def load_road_status(directory: Path, node_ids: Sequence[str]
                      ) -> tuple[TimeGrid, np.ndarray]:
-    rows = _read_csv(directory / "road_status.csv",
-                     ["node_id", "timestamp", "flooded_fraction"])
-    stamps = sorted({parse_utc(r["timestamp"]) for r in rows})
-    grid = TimeGrid.from_timestamps(stamps)
+    path = directory / "road_status.csv"
+    rows = convert_rows(
+        _read_csv(path, ["node_id", "timestamp", "flooded_fraction"]),
+        lambda r: (r["node_id"], parse_utc(r["timestamp"]), float(r["flooded_fraction"])),
+        path)
+    grid = TimeGrid.from_timestamps(sorted({stamp for _, stamp, _ in rows}))
     index = {nid: i for i, nid in enumerate(node_ids)}
     stamp_index = {s: i for i, s in enumerate(grid.times())}
     fractions = np.full((len(node_ids), grid.count), np.nan)
-    for r in rows:
-        nid = r["node_id"]
+    for nid, stamp, fraction in rows:
         if nid not in index:
             raise UsageError(f"road_status references unknown node {nid!r}")
-        fractions[index[nid], stamp_index[parse_utc(r["timestamp"])]] = float(r["flooded_fraction"])
+        fractions[index[nid], stamp_index[stamp]] = fraction
     if np.any(np.isnan(fractions)):
         ni, ti = np.argwhere(np.isnan(fractions))[0]
         raise DomainError(f"road_status missing node {node_ids[ni]} at step {ti}")
@@ -564,12 +568,10 @@ def prepare_from_dir(directory: str | Path, train_steps: int) -> FeatureTensor:
 # -- dataset container ----------------------------------------------------------
 
 _DATASET_MAGIC = "FLOODNOWCAST-DATASET"
-_DATASET_VERSION = 2   # 2: the sidecar carries the payload's sha256 (and its own)
+_DATASET_VERSION = 3   # 3: the sidecar's digests are `sha256` (payload) and `header_sha256`
 
 
 _SIDECAR_SPEC = {
-    "sha256": "str",
-    "payload_sha256": "str",
     "channels": "list[str]",
     "node_ids": "list[str]",
     "grid": {"start": "str", "step_minutes": "int", "count": "int"},
@@ -580,18 +582,15 @@ _SIDECAR_SPEC = {
 
 def save_dataset(ft: FeatureTensor, path: str | Path) -> None:
     """Write the tensor container: ASCII shape header, float64 LE payload,
-    uint8 labels; normalization stats, grid metadata and the payload's sha256
-    go to `<path>.json`, whose own ``sha256`` covers its other entries."""
+    uint8 labels; normalization stats and grid metadata go to `<path>.json`,
+    sealed with the payload (see :func:`errors.seal`)."""
     path = Path(path)
     n, c, t = ft.values.shape
-    digest = hashlib.sha256()
+    payload = ft.values.astype("<f8").tobytes() + ft.labels.astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
         fh.write(f"{_DATASET_MAGIC} {_DATASET_VERSION} {n} {c} {t}\n".encode())
-        for part in (ft.values.astype("<f8").tobytes(), ft.labels.astype(np.uint8).tobytes()):
-            fh.write(part)
-            digest.update(part)
-    sidecar = {
-        "payload_sha256": digest.hexdigest(),
+        fh.write(payload)
+    sidecar = seal({
         "channels": list(CHANNELS),
         "node_ids": ft.node_ids,
         "grid": {"start": format_utc(ft.grid.start), "step_minutes": ft.grid.step_minutes,
@@ -599,8 +598,7 @@ def save_dataset(ft: FeatureTensor, path: str | Path) -> None:
         "normalization": {"mean": [float(v) for v in ft.channel_mean],
                           "std": [float(v) for v in ft.channel_std]},
         "train_steps": ft.train_steps,
-    }
-    sidecar["sha256"] = header_sha256(sidecar)
+    }, payload)
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -615,23 +613,12 @@ def load_dataset(path: str | Path) -> FeatureTensor:
             or not all(v.isdecimal() for v in header[1:])):
         raise UsageError(f"{path} is not a dataset container")
     version, n, c, t = (int(v) for v in header[1:])
-    if version == 1:
-        raise UsageError(f"{path} is a version-1 dataset container, which carries no "
-                         f"payload checksum; re-run `prepare` to rewrite it")
-    if version != _DATASET_VERSION:
-        raise UsageError(f"unsupported dataset version {version}")
-    size = n * c * t * 8
-    if len(payload) != size + n * t:
-        raise UsageError(f"{path} payload is {len(payload)} bytes; its header "
-                         f"({n} x {c} x {t}) needs {size + n * t}")
+    check_version(version, _DATASET_VERSION, path, "prepare")
     sidecar_path = Path(str(path) + ".json")
-    sidecar = parse_header(sidecar_path.read_bytes(), _SIDECAR_SPEC, sidecar_path)
-    if header_sha256(sidecar) != sidecar["sha256"]:
-        raise DomainError(f"{sidecar_path} checksum mismatch: its entries differ from "
-                          f"those `prepare` wrote")
-    if hashlib.sha256(payload).hexdigest() != sidecar["payload_sha256"]:
-        raise DomainError(f"dataset payload checksum mismatch in {path}: its bytes "
-                          f"differ from those `prepare` wrote")
+    sidecar = check_sealed(parse_header(sidecar_path.read_bytes(), {}, sidecar_path),
+                           _SIDECAR_SPEC, sidecar_path)
+    size = n * c * t * 8
+    check_payload(payload, size + n * t, sidecar, path)
     values = np.frombuffer(payload, dtype="<f8", count=n * c * t).reshape(n, c, t).copy()
     labels = np.frombuffer(payload, dtype=np.uint8, offset=size).reshape(n, t).astype(np.int64)
     grid = TimeGrid(start=parse_utc(sidecar["grid"]["start"]),

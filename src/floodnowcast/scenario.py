@@ -93,6 +93,8 @@ class ScenarioConfig:
             raise UsageError(f"n_timesteps must be >= 26, got {self.n_timesteps}")
         if self.n_gauges < 2:
             raise UsageError("need at least 2 gauges")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         rates = (self.rain_gain, self.drainage_rate, self.spill_coefficient,
                  self.report_rate, self.tweet_rate, self.tweet_background,
                  self.activity_depression, self.storm_amplitude_mm)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -87,6 +87,9 @@ class TrainConfig:
             raise UsageError("learning_rate must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be >= 1")
+        if self.seed < 0 or self.patience < 0:
+            raise UsageError(f"seed ({self.seed}) and patience ({self.patience}) "
+                             f"must be >= 0")
         if self.class_weights not in ("none", "inverse-frequency"):
             raise UsageError(f"unknown class_weights mode {self.class_weights!r}")
         if self.optimizer not in ("adam", "sgd"):
@@ -97,9 +100,7 @@ class TrainConfig:
             raise UsageError(f"split_step must be >= 1, got {self.split_step!r}")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "learning_rate", "dropout_rate", "epochs", "batch_size", "class_weights",
-            "seed", "patience", "split_step", "optimizer", "validation_fraction")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -172,20 +173,6 @@ def inverse_frequency_weights(labels: np.ndarray, n_classes: int = 3) -> np.ndar
 # -- windowing --------------------------------------------------------------------
 
 
-def _window_ends(n_steps: int, t_in: int, horizon: int, split: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    if horizon < 0:
-        raise UsageError("horizon must be >= 0")
-    if n_steps < t_in + horizon:
-        raise UsageError(f"need at least {t_in + horizon} timesteps, got {n_steps}")
-    if not 1 <= split <= n_steps:
-        raise UsageError(f"split {split} outside [1, {n_steps}]")
-    ends = np.arange(t_in - 1, n_steps - horizon)
-    train = ends[ends + horizon <= split - 1]
-    test = ends[ends >= split]
-    return train, test
-
-
 def make_windows(dataset: FeatureTensor, t_in: int, horizon: int, split: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Train/test window end indices for a dataset.
@@ -195,7 +182,15 @@ def make_windows(dataset: FeatureTensor, t_in: int, horizon: int, split: int
     test windows end at or after ``split``. Windows that straddle the
     boundary belong to neither set.
     """
-    return _window_ends(dataset.n_steps, t_in, horizon, split)
+    n_steps = dataset.n_steps
+    if horizon < 0:
+        raise UsageError("horizon must be >= 0")
+    if n_steps < t_in + horizon:
+        raise UsageError(f"need at least {t_in + horizon} timesteps, got {n_steps}")
+    if not 1 <= split <= n_steps:
+        raise UsageError(f"split {split} outside [1, {n_steps}]")
+    ends = np.arange(t_in - 1, n_steps - horizon)
+    return ends[ends + horizon <= split - 1], ends[ends >= split]
 
 
 def fit_windows(dataset: FeatureTensor, t_in: int, horizon: int, split: int,
@@ -299,8 +294,7 @@ def predict_windows(dataset: FeatureTensor, graph: RegionGraph, params: ModelPar
         xs, ys = window_batch(dataset, ends[i:i + batch], params.config.t_in,
                               params.config.horizon)
         logits, probs = forward(xs, graph, params, training=False, ablation=ablation)
-        z = logits.data - logits.data.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        logp = tc.log_softmax(logits, axis=-1).data
         nll = -np.take_along_axis(logp, ys[..., None], axis=-1)[..., 0]
         batches.append((probs.data, np.argmax(probs.data, axis=-1), ys, nll.mean(axis=1)))
     return WindowPredictions(*(np.concatenate(parts) for parts in zip(*batches)))

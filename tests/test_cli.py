@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shutil
@@ -268,17 +269,36 @@ def test_dataset_payload_bit_flip_exits_4(workspace, tmp_path, capsys, command):
     assert "checksum mismatch" in err and "Traceback" not in err
 
 
-def test_dataset_version_1_container_exits_2(workspace, tmp_path, capsys):
-    data = tmp_path / "data"
-    shutil.copytree(workspace / "data", data)
+def _older_dataset(data, weights):
     container = data / "dataset.bin"
     raw = container.read_bytes()
-    assert raw.startswith(b"FLOODNOWCAST-DATASET 2 ")
-    container.write_bytes(raw.replace(b" 2 ", b" 1 ", 1))
+    assert raw.startswith(b"FLOODNOWCAST-DATASET 3 ")
+    container.write_bytes(raw.replace(b" 3 ", b" 1 ", 1))
+
+
+def _older_json_header(path, version):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    assert header.pop("version") == version
+    del header["header_sha256"]
+    path.write_bytes(json.dumps({**header, "version": 1}).encode() + b"\n" + payload)
+
+
+# each container at a version before its current one
+@pytest.mark.parametrize("name,rewrite,command", [
+    ("dataset.bin", _older_dataset, "prepare"),
+    ("graph.bin", lambda data, weights: _older_json_header(data / "graph.bin", 2), "prepare"),
+    ("weights.bin", lambda data, weights: _older_json_header(weights, 2), "train"),
+], ids=["dataset.bin", "graph.bin", "weights.bin"])
+def test_older_container_version_exits_2(workspace, tmp_path, capsys, name, rewrite,
+                                         command):
+    data, weights = tmp_path / "data", tmp_path / "weights.bin"
+    shutil.copytree(workspace / "data", data)
+    shutil.copyfile(workspace / "run" / "weights.bin", weights)
+    rewrite(data, weights)
     err = _assert_usage_error(capsys, ["evaluate", "--dataset", str(data), "--weights",
-                                       str(workspace / "run" / "weights.bin"),
-                                       "--out", str(tmp_path / "e")])
-    assert "version-1" in err and "prepare" in err
+                                       str(weights), "--out", str(tmp_path / "e")])
+    assert name in err and "version-1" in err and f"`{command}`" in err
 
 
 def test_weights_header_digit_flip_exits_4(workspace, tmp_path, capsys):
@@ -290,18 +310,6 @@ def test_weights_header_digit_flip_exits_4(workspace, tmp_path, capsys):
                  str(weights), "--out", str(tmp_path / "e")]) == 4
     err = capsys.readouterr().err
     assert "header checksum mismatch" in err and "Traceback" not in err
-
-
-def test_weights_version_1_exits_2(workspace, tmp_path, capsys):
-    header, payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)
-    header = json.loads(header)
-    assert header.pop("version") == 2
-    del header["header_sha256"]
-    weights = tmp_path / "weights.bin"
-    weights.write_bytes(json.dumps({**header, "version": 1}).encode() + b"\n" + payload)
-    err = _assert_usage_error(capsys, ["evaluate", "--dataset", str(workspace / "data"),
-                                       "--weights", str(weights), "--out", str(tmp_path / "e")])
-    assert "version-1" in err and "train" in err
 
 
 def test_weights_header_not_json_exits_2(workspace, tmp_path, capsys):
@@ -367,10 +375,18 @@ def _changed(section, **change):
     ("generate", {**SCENARIO_CFG, "n_nodes": 6.0}),
     ("generate", {**SCENARIO_CFG, "seed": 2.5}),
     ("generate", [1, 2]),
+    ("tune", _changed("grid", learning_rates=5)),
+    ("tune", _changed("grid", dropout_rates=0.3)),
+    ("tune", {**TRAIN_CFG, "grid": {"learning_rate": [0.1]}}),
+    ("train", _changed("train", seed=-1)),
+    ("train", _changed("train", patience=-3)),
+    ("generate", {**SCENARIO_CFG, "seed": -1}),
 ], ids=["epochs", "batch_size", "seed", "dropout_rate", "patience", "patience_bool",
         "top_level", "model_section", "train_section", "k", "channels_entry",
         "channels_scalar", "t_in", "horizon", "grid_section", "scenario_n_nodes",
-        "scenario_seed", "scenario_top_level"])
+        "scenario_seed", "scenario_top_level", "grid_learning_rates_scalar",
+        "grid_dropout_rates_scalar", "grid_unknown_key", "negative_seed",
+        "negative_patience", "scenario_negative_seed"])
 def test_config_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -419,6 +435,18 @@ def test_gradcheck_zero_seeds_exits_2(capsys):
     _assert_usage_error(capsys, ["gradcheck", "--seeds", "0"])
 
 
+# a negative seed reached numpy's SeedSequence and ended in a ValueError traceback
+@pytest.mark.parametrize("command", ["generate", "train", "gradcheck"])
+def test_negative_seed_flag_exits_2(workspace, tmp_path, capsys, command):
+    inputs = {"generate": ["--config", str(workspace / "scenario.json")],
+              "train": ["--dataset", str(workspace / "data"),
+                        "--config", str(workspace / "train.json")],
+              "gradcheck": []}[command]
+    err = _assert_usage_error(capsys, [command, *inputs, "--seed", "-1",
+                                       "--out", str(tmp_path / "o")])
+    assert "seed" in err
+
+
 def test_tune_leaderboard(workspace, tmp_path):
     out = tmp_path / "tuned"
     assert main(["tune", "--dataset", str(workspace / "data"),
@@ -450,6 +478,48 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# -- scenario CSV rows that do not convert --------------------------------------------
+
+
+def _edit_first_row(path, edit):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1] = edit(rows[1])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _set(column, value):
+    return lambda row: row[:column] + [value] + row[column + 1:]
+
+
+# each ended in a ValueError, TypeError or KeyError traceback (exit 1); a row's own
+# DomainError (a non-finite coordinate) keeps exit 4 and gains the line
+@pytest.mark.parametrize("command,name,edit,code", [
+    ("prepare", "nodes.csv", _set(1, "abc"), 2),
+    ("prepare", "gauge_readings.csv", _set(2, "n/a"), 2),
+    ("prepare", "events.csv", lambda row: row[:2], 2),
+    ("prepare", "tiles.csv", lambda row: row[:1], 2),
+    ("prepare", "nodes.csv", _set(1, "nan"), 4),
+    ("evaluate", "nodes.csv", _set(2, "abc"), 2),
+], ids=["nodes_x", "rain_increment", "short_event_row", "short_tile_row", "nodes_x_nan",
+        "evaluate_nodes_y"])
+def test_scenario_csv_row_that_does_not_convert_exits_with_its_line(
+        workspace, tmp_path, capsys, command, name, edit, code):
+    if command == "prepare":
+        shutil.copytree(workspace / "scen", tmp_path / "scen")
+        _edit_first_row(tmp_path / "scen" / name, edit)
+        argv = ["prepare", "--scenario", str(tmp_path / "scen")]
+    else:
+        shutil.copytree(workspace / "data", tmp_path / "data")
+        _edit_first_row(tmp_path / "data" / name, edit)
+        argv = ["evaluate", "--dataset", str(tmp_path / "data"),
+                "--weights", str(workspace / "run" / "weights.bin")]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert f"{name} line 2: " in err and "Traceback" not in err
 
 
 # -- graph.bin: built once by `prepare`, loaded by every later command ------------------
@@ -511,7 +581,7 @@ def test_graph_bin_payload_bit_flip_exits_4(workspace, tmp_path, capsys):
     assert main(["evaluate", "--dataset", str(data), "--weights",
                  str(workspace / "run" / "weights.bin"), "--out", str(tmp_path / "e")]) == 4
     err = capsys.readouterr().err
-    assert "graph checksum mismatch" in err and "Traceback" not in err
+    assert "checksum mismatch" in err and "graph.bin" in err and "Traceback" not in err
 
 
 def _truncate(data):

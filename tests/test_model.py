@@ -235,6 +235,11 @@ def test_forward_shape_validation():
         forward(x, graph, params, ablation="bogus")
 
 
+def test_model_config_rejects_a_negative_seed():
+    with pytest.raises(UsageError, match="seed"):
+        ModelConfig(n_nodes=4, seed=-1)
+
+
 def test_forward_batched_matches_single():
     _, graph, params, x = _setup(n=4, seed=7)
     x2 = np.random.default_rng(1).normal(size=x.shape)

@@ -237,6 +237,14 @@ def test_activity_uncovered_node_zero_with_warning(caplog):
     assert "coverage" in caplog.text
 
 
+# a tile mapped to a node id outside the node list ended in a KeyError traceback
+@pytest.mark.parametrize("tile_to_node", [{"t": "n9"}, {}], ids=["unknown_node", "no_entry"])
+def test_activity_rejects_a_tile_of_no_known_node(tile_to_node):
+    recs = [EventRecord(timestamp=T0, value=0.3, tile_id="t")]
+    with pytest.raises(UsageError, match="'t'"):
+        aggregate_activity(EventStream("activity_tile", recs), tile_to_node, ["n0"], _grid())
+
+
 def test_activity_rejects_out_of_range_index():
     with pytest.raises(DomainError):
         EventStream("activity_tile", [EventRecord(timestamp=T0, value=1.2, tile_id="t")])
@@ -362,7 +370,7 @@ def test_dataset_round_trip_bitwise(tmp_path):
     # the sidecar records the sha256 of everything after the header line
     sidecar = json.loads((tmp_path / "dataset.bin.json").read_text())
     payload = path.read_bytes().split(b"\n", 1)[1]
-    assert sidecar["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+    assert sidecar["sha256"] == hashlib.sha256(payload).hexdigest()
     # serialization is deterministic
     save_dataset(back, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()

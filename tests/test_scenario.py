@@ -22,6 +22,8 @@ def test_config_validation():
         ScenarioConfig(n_timesteps=10)
     with pytest.raises(UsageError):
         ScenarioConfig(drainage_rate=-0.1)
+    with pytest.raises(UsageError):
+        ScenarioConfig(seed=-1)
 
 
 def test_latent_step_rain_drives_flooding_to_saturation():
