@@ -29,11 +29,13 @@ import os
 import shutil
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import DomainError, TrainingDiverged, UsageError, check_header, parse_header
+from .errors import (DomainError, TrainingDiverged, UsageError, check_header, config_from,
+                     parse_header)
 from .graph import RegionGraph, load_nodes_csv, save_adjacency_csv
 from .model import (
     ABLATIONS,
@@ -136,47 +138,36 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _model_config(section: dict, n_nodes: int, seed: int) -> ModelConfig:
-    fields = {"channels", "k", "kernel_width", "t_in", "horizon", "in_channels"}
-    unknown = set(section) - fields
-    if unknown:
-        raise UsageError(f"unknown model config keys: {sorted(unknown)}")
-    section = dict(section)
-    if isinstance(section.get("channels"), list):
-        section["channels"] = tuple(section["channels"])
-    return ModelConfig(n_nodes=n_nodes, seed=seed, **section)
+def _seed_flag(args) -> dict:
+    return {} if args.seed is None else {"seed": args.seed}
 
 
-def _load_prepared(dataset_dir: str, channels: str, k: int, ablation: str
-                   ) -> tuple[FeatureTensor, RegionGraph]:
+def _load_features(dataset_dir: str, channels: str) -> FeatureTensor:
     directory = Path(dataset_dir)
     for name in ("dataset.bin", "graph.bin"):
         if not (directory / name).exists():
             raise UsageError(f"no {name} under {directory}; re-run `prepare` to write it")
     ft = load_dataset(directory / "dataset.bin")
-    if channels == "physics-only":
-        ft = physics_only(ft)
+    return physics_only(ft) if channels == "physics-only" else ft
+
+
+def _load_graph(dataset_dir: str, ft: FeatureTensor, k: int, ablation: str) -> RegionGraph:
+    directory = Path(dataset_dir)
     nodes = load_nodes_csv(directory / "nodes.csv")
     if [n.id for n in nodes] != ft.node_ids:
         raise UsageError("nodes.csv does not match the dataset's node ids")
     if ablation == "graph-off":
-        graph = RegionGraph.edgeless(nodes, k=k)
-    else:
-        graph = RegionGraph.load(directory / "graph.bin", nodes, k=k)
-    return ft, graph
+        return RegionGraph.edgeless(nodes, k=k)
+    return RegionGraph.load(directory / "graph.bin", nodes, k=k)
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_generate(args, argv) -> int:
-    cfg_dict = _load_json(args.config, "scenario config")
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    try:
-        cfg = ScenarioConfig.from_dict(cfg_dict)
-    except TypeError as exc:
-        raise UsageError(f"bad scenario config: {exc}") from exc
+    cfg = config_from(ScenarioConfig,
+                      {**_load_json(args.config, "scenario config"), **_seed_flag(args)},
+                      f"scenario config file {args.config}")
     out = _out_dir(args)
     run = _Run("generate", out, argv, [args.config], {"scenario": cfg.seed})
     run.add_input(args.config)
@@ -205,22 +196,26 @@ def cmd_prepare(args, argv) -> int:
     return 0
 
 
-def _train_setup(args):
-    cfg_all = _load_json(args.config, "train config")
-    try:
-        train_cfg = TrainConfig.from_dict(_section(cfg_all, "train"))
-    except TypeError as exc:
-        raise UsageError(f"bad train config: {exc}") from exc
-    if args.seed is not None:
-        train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed})
-    return cfg_all, train_cfg, _section(cfg_all, "model")
+def _train_setup(args, cfg_all: dict):
+    """The train config, dataset, model config and graph of `train` and `tune`.
+
+    The dataset fixes the model's ``n_nodes`` and ``in_channels``, the train
+    config its ``seed`` and ``dropout_rate``.
+    """
+    source = f"train config file {args.config} section"
+    train_cfg = config_from(TrainConfig, {**_section(cfg_all, "train"), **_seed_flag(args)},
+                            f"{source} 'train'")
+    ft = _load_features(args.dataset, args.channels)
+    model_cfg = config_from(ModelConfig, _section(cfg_all, "model"), f"{source} 'model'",
+                            n_nodes=ft.n_nodes, in_channels=ft.values.shape[1],
+                            seed=train_cfg.seed, dropout_rate=train_cfg.dropout_rate)
+    graph = _load_graph(args.dataset, ft, model_cfg.k, args.ablation)
+    return train_cfg, ft, model_cfg, graph
 
 
 def cmd_train(args, argv) -> int:
-    cfg_all, train_cfg, model_section = _train_setup(args)
-    mc_probe = _model_config(model_section, n_nodes=1, seed=train_cfg.seed)
-    ft, graph = _load_prepared(args.dataset, args.channels, mc_probe.k, args.ablation)
-    model_cfg = _model_config(model_section, n_nodes=ft.n_nodes, seed=train_cfg.seed)
+    cfg_all = _load_json(args.config, "train config")
+    train_cfg, ft, model_cfg, graph = _train_setup(args, cfg_all)
     split = train_cfg.split_step if train_cfg.split_step is not None else ft.train_steps
     _, test_ends = make_windows(ft, model_cfg.t_in, model_cfg.horizon, split)
     if len(test_ends) == 0:
@@ -252,15 +247,13 @@ _DEFAULT_GRID = {"learning_rates": [1e-3, 3e-3], "dropout_rates": [0.0, 0.3]}
 
 
 def cmd_tune(args, argv) -> int:
-    cfg_all, train_cfg, model_section = _train_setup(args)
+    cfg_all = _load_json(args.config, "train config")
     grid = {**_DEFAULT_GRID, **_section(cfg_all, "grid")}
     unknown = set(grid) - set(_DEFAULT_GRID)
     if unknown:
         raise UsageError(f"unknown grid config keys: {sorted(unknown)}")
     check_header(grid, {key: "list[float]" for key in grid}, "config section 'grid'")
-    mc_probe = _model_config(model_section, n_nodes=1, seed=train_cfg.seed)
-    ft, graph = _load_prepared(args.dataset, args.channels, mc_probe.k, args.ablation)
-    model_cfg = _model_config(model_section, n_nodes=ft.n_nodes, seed=train_cfg.seed)
+    train_cfg, ft, model_cfg, graph = _train_setup(args, cfg_all)
 
     out = _out_dir(args)
     run = _Run("tune", out, argv, [args.config],
@@ -278,7 +271,7 @@ def cmd_tune(args, argv) -> int:
             fh.write(f"{row['rank']},{row['learning_rate']!r},{row['dropout_rate']!r},"
                      f"{row['val_macro_f1']!r},{row['val_loss']!r},{row['best_epoch']}\n")
     with open(out / "best_config.json", "w") as fh:
-        json.dump({"train": best.to_dict(), "model": model_section}, fh,
+        json.dump({"train": asdict(best), "model": _section(cfg_all, "model")}, fh,
                   indent=2, sort_keys=True)
         fh.write("\n")
     run.finish()
@@ -301,11 +294,11 @@ def _resolve_eval(args):
         raise UsageError(f"{args.weights} records ablation {ablation!r} and channels "
                          f"{channels!r}; expected one of {ABLATIONS} and {CHANNEL_VIEWS}")
     params = load_weights(args.weights)
-    ft, graph = _load_prepared(args.dataset, channels, params.config.k, ablation)
-    if params.config.n_nodes != ft.n_nodes:
-        raise UsageError(f"weights expect {params.config.n_nodes} nodes, "
-                         f"dataset has {ft.n_nodes}")
     cfg = params.config
+    ft = _load_features(args.dataset, channels)
+    graph = _load_graph(args.dataset, ft, cfg.k, ablation)
+    if cfg.n_nodes != ft.n_nodes:
+        raise UsageError(f"weights expect {cfg.n_nodes} nodes, dataset has {ft.n_nodes}")
     if args.split == "train":
         ends, _ = fit_windows(ft, cfg.t_in, cfg.horizon, split, fraction)
     else:

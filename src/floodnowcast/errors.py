@@ -4,8 +4,9 @@ Two failure families are distinguished so the CLI can map them to stable
 exit codes: caller mistakes (bad arguments, mismatched shapes, malformed
 config) raise :class:`UsageError`; bad numbers in otherwise well-formed
 calls (NaN/Inf, out-of-range values, divergence) raise :class:`DomainError`.
-:func:`check_field_types` is the one type check of the config dataclasses,
-whose values may come from any JSON; :func:`parse_header` is the one check
+:func:`config_from` is the one way a JSON object becomes a config dataclass,
+and :func:`check_field_types` the one type check of those dataclasses, whose
+values may come from any JSON; :func:`parse_header` is the one check
 of JSON headers, sidecars and config files; :func:`convert_rows` turns a CSV
 row that does not convert into a :class:`UsageError` naming its line.
 
@@ -73,6 +74,27 @@ def check_field_types(config) -> None:
         value = getattr(config, f.name)
         if not accepts(value):
             raise UsageError(f"{f.name} must be {expected}, got {value!r}")
+
+
+def config_from(cls, value: dict, source, **fixed):
+    """The config dataclass ``cls`` built from a parsed JSON object and the
+    ``fixed`` fields the caller supplies.
+
+    A key of ``value`` that is not a field of ``cls``, or that the caller
+    fixes, raises :class:`UsageError` naming ``source`` and the key; a list
+    becomes a tuple for a tuple field. ``cls.__post_init__`` does every type
+    and range check, and its :class:`UsageError` gains ``source`` as a prefix.
+    """
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key in value:
+        if key not in types or key in fixed:
+            raise UsageError(f"{source} takes no {key!r} key; its keys are "
+                             f"{sorted(set(types) - set(fixed))}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) and types[k].startswith("tuple")
+                      else v for k, v in value.items()}, **fixed)
+    except UsageError as exc:
+        raise UsageError(f"{source}: {exc}") from exc
 
 
 def check_header(value, spec, source, key: str = "") -> None:

@@ -29,14 +29,14 @@ with a softmax.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (DomainError, UsageError, check_field_types, check_payload,
-                     read_sealed, write_sealed)
+                     config_from, read_sealed, write_sealed)
 from .graph import RegionGraph
 from . import tensor as tc
 from .tensor import Tensor
@@ -97,16 +97,6 @@ class ModelConfig:
         if self.horizon < 0 or self.seed < 0:
             raise UsageError(f"horizon ({self.horizon}) and seed ({self.seed}) "
                              f"must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise UsageError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**{**d, "channels": tuple(d["channels"])})
 
 
 @dataclass
@@ -319,7 +309,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
     if len(graph.cheb_basis) < cfg.k:
         raise UsageError(f"graph basis order {len(graph.cheb_basis)} < K={cfg.k}")
     attention_on = ablation != "attention-off"
-    ones_gate = Tensor(np.ones((n, n)))
+    s_norm = None if attention_on else Tensor(np.ones((1, n, n)))   # all-ones gate
 
     h = xt
     for i, blk in enumerate(params.blocks):
@@ -328,8 +318,6 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
                 e_norm = temporal_attention(h, blk)
                 h = apply_temporal_attention(h, e_norm)
                 s_norm = spatial_attention(h, blk)
-            else:
-                s_norm = ones_gate.reshape(1, n, n)
             y = cheb_graph_conv(h, graph.cheb_basis[:cfg.k], s_norm, blk.theta)
             h = temporal_conv(y, blk.phi, cfg.dropout_rate, training, rng)
         except DomainError as exc:
@@ -365,7 +353,7 @@ def save_weights(params: ModelParams, path: str | Path,
     header = {
         "format": _WEIGHTS_FORMAT,
         "version": _WEIGHTS_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "channel_order": list(range(params.config.in_channels)),
         "params": [{"name": name, "shape": list(t.shape)} for name, t in named],
     }
@@ -395,10 +383,7 @@ def read_weights_header(path: str | Path, extra: Optional[dict] = None) -> dict:
 def load_weights(path: str | Path) -> ModelParams:
     header, payload = read_sealed(path, _WEIGHTS_FORMAT, _WEIGHTS_VERSION, _WEIGHTS_SPEC,
                                   "train")
-    try:
-        config = ModelConfig.from_dict(header["config"])
-    except UsageError as exc:
-        raise UsageError(f"{path}: config: {exc}") from exc
+    config = config_from(ModelConfig, header["config"], f"{path}: config")
     if header["channel_order"] != list(range(config.in_channels)):
         raise UsageError(f"{path} records channel_order {header['channel_order']}; "
                          f"expected {list(range(config.in_channels))}")

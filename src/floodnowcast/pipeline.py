@@ -25,9 +25,9 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,15 +110,20 @@ class TimeGrid:
         return idx if 0 <= idx < self.count else None
 
     @classmethod
-    def from_timestamps(cls, stamps: Sequence[float]) -> "TimeGrid":
-        ts = np.asarray(sorted(set(stamps)), dtype=float)
-        if ts.size < 2:
-            raise UsageError("need at least two distinct timestamps to infer a grid")
-        steps = np.diff(ts)
-        if not np.allclose(steps, steps[0], atol=1e-6):
-            raise UsageError("timestamps are not evenly spaced")
-        return cls(start=float(ts[0]), count=int(ts.size),
-                   step_minutes=int(round(steps[0] / 60.0)))
+    def from_timestamps(cls, stamps: Sequence[float], source) -> "TimeGrid":
+        """The grid whose times are exactly the distinct ``stamps``, whole
+        minutes apart; anything else raises :class:`UsageError` naming ``source``."""
+        ts = sorted(set(stamps))
+        if len(ts) < 2:
+            raise UsageError(f"{source}: need at least two distinct timestamps to infer a grid")
+        grid = cls(start=ts[0], count=len(ts), step_minutes=int(round((ts[1] - ts[0]) / 60.0)))
+        off = np.flatnonzero(grid.times() != ts)
+        if off.size:
+            i = off[0]
+            raise UsageError(f"{source}: timestamps are not whole-minute steps of one grid "
+                             f"(one is {ts[i] - ts[0]!r} s after the first, where the "
+                             f"{grid.step_minutes}-minute grid has {i * grid.step_seconds!r} s)")
+        return grid
 
 
 @dataclass(frozen=True)
@@ -493,7 +498,7 @@ def load_road_status(directory: Path, node_ids: Sequence[str]
         _read_csv(path, ["node_id", "timestamp", "flooded_fraction"]),
         lambda r: (r["node_id"], parse_utc(r["timestamp"]), float(r["flooded_fraction"])),
         path)
-    grid = TimeGrid.from_timestamps(sorted({stamp for _, stamp, _ in rows}))
+    grid = TimeGrid.from_timestamps([stamp for _, stamp, _ in rows], path)
     index = {nid: i for i, nid in enumerate(node_ids)}
     stamp_index = {s: i for i, s in enumerate(grid.times())}
     fractions = np.full((len(node_ids), grid.count), np.nan)
@@ -617,6 +622,10 @@ def load_dataset(path: str | Path) -> FeatureTensor:
     sidecar_path = Path(str(path) + ".json")
     sidecar = check_sealed(parse_header(sidecar_path.read_bytes(), {}, sidecar_path),
                            _SIDECAR_SPEC, sidecar_path)
+    sealed = (len(sidecar["node_ids"]), len(sidecar["channels"]), sidecar["grid"]["count"])
+    if (n, c, t) != sealed:
+        raise UsageError(f"{path} header says N C T = {n} {c} {t}; its sidecar lists "
+                         f"{' '.join(map(str, sealed))}")
     size = n * c * t * 8
     check_payload(payload, size + n * t, sidecar, path)
     values = np.frombuffer(payload, dtype="<f8", count=n * c * t).reshape(n, c, t).copy()

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError, check_field_types
 from .graph import NODES_HEADER, StaticFeatures, UnitNode, build_adjacency
-from .pipeline import CHANNELS, FeatureTensor, format_utc, label_flood_classes, parse_utc
+from .pipeline import FeatureTensor, format_utc, label_flood_classes, parse_utc
 
 __all__ = ["ScenarioConfig", "ScenarioDataset", "generate", "latent_flood_step",
            "physics_only"]
@@ -100,13 +100,6 @@ class ScenarioConfig:
                  self.activity_depression, self.storm_amplitude_mm)
         if any(r < 0 for r in rates):
             raise UsageError("rates and amplitudes must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -353,7 +346,7 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> ScenarioDataset:
                [[nodes[i].id, stamps[t], f"{emitted[i, t]:.6f}"]
                 for i in range(cfg.n_nodes) for t in range(cfg.n_timesteps)])
 
-    meta = {"config": cfg.to_dict(), "attempt": attempt,
+    meta = {"config": dataclasses.asdict(cfg), "attempt": attempt,
             "report_correlation": corr,
             "label_counts": [int(c) for c in np.bincount(
                 label_flood_classes(emitted).ravel(), minlength=3)]}

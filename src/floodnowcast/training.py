@@ -10,17 +10,16 @@ information leaks across. The last 15% of the training span is carved off as
 a validation stretch used only for checkpoint selection and hyperparameter
 ranking; nothing from the test span ever reaches the optimizer.
 
-Optimization is Adam by default (plain SGD behind a config switch) with
-Glorot-initialized parameters; everything is driven by one seeded generator,
-so a (config, dataset) pair reproduces its weights bit for bit.
+Optimization is Adam with Glorot-initialized parameters; everything is
+driven by one seeded generator, so a (config, dataset) pair reproduces its
+weights bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -74,37 +73,25 @@ class TrainConfig:
     dropout_rate: float = 0.0
     epochs: int = 30
     batch_size: int = 24
-    class_weights: str = "inverse-frequency"   # or "none"
     seed: int = 0
     patience: int = 0                           # 0 disables early stopping
     split_step: Optional[int] = None            # None: use the dataset's train_steps
-    optimizer: str = "adam"
     validation_fraction: float = 0.15
 
     def __post_init__(self):
         check_field_types(self)
-        if self.learning_rate < 0:
-            raise UsageError("learning_rate must be >= 0")
+        if self.learning_rate < 0 or not 0.0 <= self.dropout_rate < 1.0:
+            raise UsageError(f"learning_rate ({self.learning_rate}) must be >= 0 and "
+                             f"dropout_rate ({self.dropout_rate}) in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be >= 1")
         if self.seed < 0 or self.patience < 0:
             raise UsageError(f"seed ({self.seed}) and patience ({self.patience}) "
                              f"must be >= 0")
-        if self.class_weights not in ("none", "inverse-frequency"):
-            raise UsageError(f"unknown class_weights mode {self.class_weights!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise UsageError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise UsageError("validation_fraction must be in (0, 1)")
         if self.split_step is not None and self.split_step < 1:
             raise UsageError(f"split_step must be >= 1, got {self.split_step!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -220,13 +207,12 @@ def window_batch(dataset: FeatureTensor, ends: np.ndarray, t_in: int, horizon: i
 
 
 class _Optimizer:
-    """Adam (bias-corrected) or plain SGD over a fixed parameter list."""
+    """Adam (bias-corrected) over a fixed parameter list."""
 
-    def __init__(self, params: list[Tensor], lr: float, kind: str = "adam",
+    def __init__(self, params: list[Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
-        self.kind = kind
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
@@ -237,9 +223,6 @@ class _Optimizer:
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
-                continue
-            if self.kind == "sgd":
-                p.data = p.data - self.lr * g
                 continue
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
@@ -355,15 +338,10 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
     if np.unique(train_span_labels).size < 2:
         warnings.warn("training span contains a single label class; "
                       "the model has nothing to separate")
-    if config.class_weights == "inverse-frequency":
-        grad_labels = dataset.labels[:, grad_ends + horizon]
-        class_w = inverse_frequency_weights(grad_labels)
-    else:
-        class_w = None
+    class_w = inverse_frequency_weights(dataset.labels[:, grad_ends + horizon])
 
     params = init_params(model_config)
-    opt = _Optimizer([t for _, t in named_parameters(params)], config.learning_rate,
-                     kind=config.optimizer)
+    opt = _Optimizer([t for _, t in named_parameters(params)], config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     history = TrainHistory()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import shutil
 from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 
 import floodnowcast.training as training
 from floodnowcast.cli import main
+from floodnowcast.errors import header_sha256
 from floodnowcast.graph import RegionGraph, load_nodes_csv
-from floodnowcast.pipeline import load_dataset
+from floodnowcast.pipeline import load_dataset, parse_utc
 from floodnowcast.training import fit_windows, make_windows, window_batch
 
 SCENARIO_CFG = {
@@ -340,14 +342,61 @@ def test_train_without_test_windows_exits_2_before_training(workspace, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("model", [{"channels": [0]}, {"in_channels": 0},
+@pytest.mark.parametrize("model", [{"channels": [0]}, {"k": 0},
                                    {"channels": [32, -1]}, {"kernel_width": -1}])
 def test_model_config_out_of_range_exits_2(workspace, tmp_path, capsys, model):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**TRAIN_CFG, "model": {**TRAIN_CFG["model"], **model}}))
     err = _assert_usage_error(capsys, ["train", "--dataset", str(workspace / "data"),
                                        "--config", str(cfg), "--out", str(tmp_path / "r")])
-    assert "must be >= 1" in err
+    assert "must be >= 1" in err and "section 'model'" in err
+    assert not (tmp_path / "r").exists()
+
+
+def _weights_config_with(key):
+    """A weights file whose header ``config`` holds ``key``, resealed so its digest holds."""
+    def edit(workspace, tmp_path):
+        header, payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["config"][key] = 1
+        weights = tmp_path / "weights.bin"
+        weights.write_bytes(json.dumps({**header, "header_sha256": header_sha256(header)}
+                                       ).encode() + b"\n" + payload)
+        return ["evaluate", "--dataset", str(workspace / "data"), "--weights", str(weights)]
+    return edit
+
+
+def _config_with(command, section, key):
+    def edit(workspace, tmp_path):
+        cfg = tmp_path / "bad.json"
+        if section is None:
+            cfg.write_text(json.dumps({**SCENARIO_CFG, key: 1}))
+            return [command, "--config", str(cfg)]
+        cfg.write_text(json.dumps(_changed(section, **{key: 1})))
+        return [command, "--dataset", str(workspace / "data"), "--config", str(cfg)]
+    return edit
+
+
+# the model section's n_nodes and in_channels come from the dataset, its seed and
+# dropout_rate from the train section
+@pytest.mark.parametrize("key,argv", [
+    ("not_a_field", _config_with("generate", None, "not_a_field")),
+    ("optimizer", _config_with("train", "train", "optimizer")),
+    ("class_weights", _config_with("tune", "train", "class_weights")),
+    ("epoch", _config_with("train", "train", "epoch")),
+    ("in_channels", _config_with("train", "model", "in_channels")),
+    ("n_nodes", _config_with("tune", "model", "n_nodes")),
+    ("seed", _config_with("train", "model", "seed")),
+    ("dropout_rate", _config_with("train", "model", "dropout_rate")),
+    ("chanels", _config_with("train", "model", "chanels")),
+    ("n_blocks", _weights_config_with("n_blocks")),
+], ids=["scenario", "train_optimizer", "train_class_weights", "train_misspelt",
+        "model_in_channels", "model_n_nodes", "model_seed", "model_dropout_rate",
+        "model_misspelt", "weights_header_config"])
+def test_config_unknown_key_exits_2(workspace, tmp_path, capsys, key, argv):
+    err = _assert_usage_error(capsys, [*argv(workspace, tmp_path), "--out", str(tmp_path / "o")])
+    assert f"takes no {key!r} key" in err
+    assert not (tmp_path / "o").exists()
 
 
 def _changed(section, **change):
@@ -520,6 +569,50 @@ def test_scenario_csv_row_that_does_not_convert_exits_with_its_line(
     assert main([*argv, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert f"{name} line 2: " in err and "Traceback" not in err
+
+
+def _respace_road_status(path, seconds, offset):
+    """Put the i-th distinct timestamp of road_status.csv ``i * seconds`` after the
+    first, and move the second one by ``offset`` seconds more."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    stamps = sorted({parse_utc(row[1]) for row in rows[1:]})
+    moved = {t: stamps[0] + i * seconds + (offset if i == 1 else 0.0)
+             for i, t in enumerate(stamps)}
+    for row in rows[1:]:
+        row[1] = datetime.fromtimestamp(moved[parse_utc(row[1])], tz=timezone.utc).isoformat()
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+# each ended in a KeyError traceback (exit 1): 90 s and 20 s steps round to a grid
+# of 2 and 0 minutes, and a 5 ms offset passes TimeGrid's evenness check
+@pytest.mark.parametrize("seconds,offset", [(90, 0.0), (20, 0.0), (1800, 0.005)],
+                         ids=["90s_steps", "20s_steps", "5ms_off_grid"])
+def test_road_status_off_a_whole_minute_grid_exits_2(workspace, tmp_path, capsys,
+                                                      seconds, offset):
+    shutil.copytree(workspace / "scen", tmp_path / "scen")
+    _respace_road_status(tmp_path / "scen" / "road_status.csv", seconds, offset)
+    err = _assert_usage_error(capsys, ["prepare", "--scenario", str(tmp_path / "scen"),
+                                       "--out", str(tmp_path / "o")])
+    assert "road_status.csv" in err and "whole-minute" in err
+
+
+# N and T swapped keep the payload length N*T*(8C+1) and its digest: the container
+# loaded as a 96-unit, 12-step tensor
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_dataset_header_that_disagrees_with_its_sidecar_exits_2(workspace, tmp_path,
+                                                                 capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    raw = (data / "dataset.bin").read_bytes()
+    assert raw.startswith(b"FLOODNOWCAST-DATASET 3 12 6 96\n")
+    (data / "dataset.bin").write_bytes(raw.replace(b" 12 6 96", b" 96 6 12", 1))
+    extra = (["--config", str(workspace / "train.json")] if command == "train"
+             else ["--weights", str(workspace / "run" / "weights.bin")])
+    err = _assert_usage_error(capsys, [command, "--dataset", str(data), *extra,
+                                       "--out", str(tmp_path / "o")])
+    assert "dataset.bin" in err and "sidecar" in err
 
 
 # -- graph.bin: built once by `prepare`, loaded by every later command ------------------

@@ -240,6 +240,11 @@ def test_model_config_rejects_a_negative_seed():
         ModelConfig(n_nodes=4, seed=-1)
 
 
+def test_model_config_rejects_no_input_channels():
+    with pytest.raises(UsageError, match="in_channels"):
+        ModelConfig(n_nodes=4, in_channels=0)
+
+
 def test_forward_batched_matches_single():
     _, graph, params, x = _setup(n=4, seed=7)
     x2 = np.random.default_rng(1).normal(size=x.shape)

@@ -210,14 +210,14 @@ def test_window_batch_shapes_and_alignment():
 # -- optimizer ------------------------------------------------------------------
 
 
-def test_sgd_step_decreases_frozen_batch_loss():
+def test_adam_step_decreases_frozen_batch_loss():
     ft = _toy_dataset()
     graph = _toy_graph()
     cfg = _model_cfg()
     params = init_params(cfg)
     xs, ys = window_batch(ft, np.arange(6, 20), cfg.t_in, cfg.horizon)
     tensors = [t for _, t in named_parameters(params)]
-    opt = _Optimizer(tensors, lr=1e-6, kind="sgd")
+    opt = _Optimizer(tensors, lr=1e-6)
 
     def batch_loss():
         logits, _ = forward(xs, graph, params, training=False)
