@@ -51,6 +51,7 @@ from .training import (
     TrainConfig,
     evaluate_windows,
     fit_windows,
+    grid_configs,
     make_windows,
     model_gradient_check,
     predict_windows,
@@ -248,12 +249,18 @@ _DEFAULT_GRID = {"learning_rates": [1e-3, 3e-3], "dropout_rates": [0.0, 0.3]}
 
 def cmd_tune(args, argv) -> int:
     cfg_all = _load_json(args.config, "train config")
+    source = f"train config file {args.config} section 'grid'"
     grid = {**_DEFAULT_GRID, **_section(cfg_all, "grid")}
     unknown = set(grid) - set(_DEFAULT_GRID)
     if unknown:
-        raise UsageError(f"unknown grid config keys: {sorted(unknown)}")
-    check_header(grid, {key: "list[float]" for key in grid}, "config section 'grid'")
+        raise UsageError(f"{source} takes no {sorted(unknown)[0]!r} key; its keys are "
+                         f"{sorted(_DEFAULT_GRID)}")
+    check_header(grid, {key: "list[float]" for key in grid}, source)
     train_cfg, ft, model_cfg, graph = _train_setup(args, cfg_all)
+    try:   # every grid config is checked before the output directory exists
+        grid_configs(train_cfg, grid["learning_rates"], grid["dropout_rates"])
+    except UsageError as exc:
+        raise UsageError(f"{source}: {exc}") from exc
 
     out = _out_dir(args)
     run = _Run("tune", out, argv, [args.config],

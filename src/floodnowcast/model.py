@@ -52,6 +52,7 @@ __all__ = [
     "apply_temporal_attention",
     "cheb_graph_conv",
     "temporal_conv",
+    "dropout_masks",
     "forward",
     "named_parameters",
     "save_weights",
@@ -255,8 +256,8 @@ def cheb_graph_conv(x: Tensor, cheb_basis: Sequence[np.ndarray], s_norm: Tensor,
         raise UsageError(f"cheb_basis[0] must be T_0 = I of order {n}")
     # fold time into the feature axis so each filter order is one batched matmul
     flat = x.transpose((0, 1, 3, 2)).reshape(b, n, t * c)   # (B, N, T*C)
-    diag = (Tensor(cheb_basis[0]) * s_norm).sum(axis=-1, keepdims=True)   # (B or 1, N, 1)
-    acc = tc.matmul((diag * flat).reshape(b, n, t, c), theta[0])           # (B, N, T, C_out)
+    diag = tc.diagonal(s_norm).reshape(s_norm.shape[:-1] + (1,))  # (B or 1, N, 1)
+    acc = tc.matmul((diag * flat).reshape(b, n, t, c), theta[0])  # (B, N, T, C_out)
     for t_k, theta_k in zip(cheb_basis[1:], theta[1:]):
         gate = Tensor(t_k) * s_norm                      # (B or 1, N, N)
         mixed = tc.matmul(gate, flat).reshape(b, n, t, c)
@@ -265,29 +266,40 @@ def cheb_graph_conv(x: Tensor, cheb_basis: Sequence[np.ndarray], s_norm: Tensor,
 
 
 def temporal_conv(y: Tensor, phi: Tensor, dropout_rate: float, training: bool,
-                  rng: Optional[np.random.Generator] = None) -> Tensor:
+                  keep: Optional[np.ndarray] = None) -> Tensor:
     """ReLU, same-padded temporal convolution, ReLU, then dropout if training.
 
     The incoming ``y`` is the raw graph-convolution output; the inner ReLU is
     applied here so the graph convolution stays purely linear and testable.
-    Dropout is inverted (mask scaled by 1/(1-p)) so inference is the identity.
+    Dropout is inverted (the boolean keep-mask ``keep``, of the output's
+    shape, scaled by 1/(1-p)) so inference is the identity.
     """
     out = tc.relu(tc.conv1d_same(tc.relu(y), phi))
     if training and dropout_rate > 0.0:
-        if rng is None:
-            raise UsageError("training-mode dropout needs an RNG")
-        keep = (rng.random(out.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        out = out * Tensor(keep)
+        if keep is None:
+            raise UsageError("training-mode dropout needs a keep-mask")
+        out = out * Tensor(keep / (1.0 - dropout_rate))
     return out
 
 
+def dropout_masks(config: ModelConfig, batch: int,
+                  rng: np.random.Generator) -> list[np.ndarray]:
+    """The boolean keep-masks, one (batch, N, C_out, T) array per block, that a
+    training-mode ``forward`` of ``batch`` windows draws from ``rng``, drawn
+    in the same order; window ``i``'s masks are row ``i`` of each."""
+    return [rng.random((batch, config.n_nodes, c, config.t_in)) >= config.dropout_rate
+            for c in config.channels]
+
+
 def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
-            rng: Optional[np.random.Generator] = None,
-            ablation: str = "none") -> tuple[Tensor, Tensor]:
+            ablation: str = "none",
+            keep: Optional[Sequence[np.ndarray]] = None) -> tuple[Tensor, Tensor]:
     """Full model pass: (B, N, C, T) or (N, C, T) input to per-node logits.
 
     Returns ``(logits, class_probs)`` with shapes (B, N, 3); a rank-3 input is
     treated as a batch of one and returned with the batch axis squeezed.
+    Training-mode dropout needs the per-block keep-masks ``keep`` (see
+    :func:`dropout_masks`).
     Raises :class:`DomainError` naming the block and stage if any layer
     produces a non-finite value.
     """
@@ -319,7 +331,8 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
                 h = apply_temporal_attention(h, e_norm)
                 s_norm = spatial_attention(h, blk)
             y = cheb_graph_conv(h, graph.cheb_basis[:cfg.k], s_norm, blk.theta)
-            h = temporal_conv(y, blk.phi, cfg.dropout_rate, training, rng)
+            h = temporal_conv(y, blk.phi, cfg.dropout_rate, training,
+                              keep=None if keep is None else keep[i])
         except DomainError as exc:
             raise DomainError(f"block {i}: {exc}") from exc
     try:

@@ -25,9 +25,9 @@ reproduces bit-identical outputs. The canonical mode costs an O(n log n) sort
 per reduction and materializes matmul products, so it is meant for
 verification fixtures and small-scale inference, not training loops.
 
-Importing this module fixes glibc's malloc thresholds for the whole process
-(see ``_pin_malloc_thresholds``); it changes no value, only where freed
-arrays go.
+Importing this module fixes glibc's malloc thresholds and arena count for
+the whole process (see ``_pin_malloc_thresholds``); it changes no value, only
+where freed arrays go.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "sigmoid",
     "softmax",
     "log_softmax",
+    "diagonal",
     "conv1d_same",
     "sorted_sum",
     "sorted_matmul",
@@ -66,7 +67,9 @@ _state = threading.local()
 # arrays would therefore be mapped (or trimmed) and faulted in again on every
 # step. Fixing both thresholds, at glibc's own ceiling for the dynamic mmap
 # threshold and twice that, keeps them in the heap for the whole process.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters of <malloc.h>
+# Threads other than the main one would each get an arena of their own, whose
+# freed blocks no other thread reuses; one arena keeps a single heap for all.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8   # <malloc.h>
 
 
 def _pin_malloc_thresholds() -> None:
@@ -78,6 +81,7 @@ def _pin_malloc_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _pin_malloc_thresholds()
@@ -465,6 +469,22 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
         return (g - sm * np.sum(g, axis=axis, keepdims=True),)
 
     return _make(out, (t,), rule, "log_softmax")
+
+
+def diagonal(t: Tensor) -> Tensor:
+    """Main diagonal of the trailing two axes: (..., N, N) to (..., N)."""
+    t = _as_tensor(t)
+    if t.ndim < 2 or t.shape[-1] != t.shape[-2]:
+        raise UsageError(f"diagonal needs square trailing axes, got {t.shape}")
+    idx = np.arange(t.shape[-1])
+    shape = t.data.shape
+
+    def rule(g):
+        full = np.zeros(shape)
+        full[..., idx, idx] = g
+        return (full,)
+
+    return _make(t.data[..., idx, idx], (t,), rule, "diagonal", check=False)
 
 
 # -- temporal convolution ---------------------------------------------------

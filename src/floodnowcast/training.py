@@ -13,15 +13,27 @@ ranking; nothing from the test span ever reaches the optimizer.
 Optimization is Adam with Glorot-initialized parameters; everything is
 driven by one seeded generator, so a (config, dataset) pair reproduces its
 weights bit for bit.
+
+Training micro-batches and eval batches run on one thread pool with a worker
+per usable core (see :func:`_parallel`). What each worker computes, and the
+order its results are combined in, depend only on the batch and the model
+shape, so outputs are bitwise independent of the worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import os
+import threading
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +43,8 @@ from .metrics import ConfusionMatrix, MetricsReport, confusion, macro_metrics
 from .model import (
     ModelConfig,
     ModelParams,
+    STBlockParams,
+    dropout_masks,
     forward,
     init_params,
     named_parameters,
@@ -53,6 +67,7 @@ __all__ = [
     "predict_windows",
     "train",
     "evaluate_windows",
+    "grid_configs",
     "tune",
     "model_gradient_check",
 ]
@@ -231,6 +246,55 @@ class _Optimizer:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _fresh_leaves(params: ModelParams) -> ModelParams:
+    """The same weight arrays on new leaf tensors, so that a backward pass in a
+    worker writes ``grad`` only on tensors no other thread touches."""
+    def leaf(t: Tensor) -> Tensor:
+        return Tensor(t.data, requires_grad=True)
+
+    blocks = [STBlockParams(**{name: [leaf(t) for t in value] if isinstance(value, list)
+                               else leaf(value) for name, value in vars(blk).items()})
+              for blk in params.blocks]
+    return ModelParams(params.config, blocks, leaf(params.fc_w), leaf(params.fc_b))
+
+
+def _batch_gradients(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
+                     chunk: np.ndarray, class_w: np.ndarray,
+                     keep: Optional[list[np.ndarray]], ablation: str
+                     ) -> list[Optional[np.ndarray]]:
+    """Gradients of one optimizer batch's loss, in ``named_parameters`` order.
+
+    The batch splits into micro-batches of at most :func:`eval_batch_windows`
+    windows, with sizes that differ by at most one. Each runs forward (with
+    its windows' rows of the keep-masks ``keep``) and backward on its own
+    tape and leaf tensors, its loss scaled by its share of the batch; the
+    gradients are summed in micro-batch order.
+    """
+    cfg = params.config
+    micro = np.array_split(np.arange(len(chunk)),
+                           -(-len(chunk) // eval_batch_windows(cfg)))
+
+    def step(rows: np.ndarray) -> list[Optional[np.ndarray]]:
+        xs, ys = window_batch(dataset, chunk[rows], cfg.t_in, cfg.horizon)
+        local = _fresh_leaves(params)
+        with Tape() as tape:
+            logits, _ = forward(xs, graph, local, training=True, ablation=ablation,
+                                keep=None if keep is None else [k[rows] for k in keep])
+            loss = cross_entropy(logits, ys, class_w) * (len(rows) / len(chunk))
+        tape.backward(loss)
+        return [t.grad for _, t in named_parameters(local)]
+
+    total: list[Optional[np.ndarray]] = [None] * len(named_parameters(params))
+
+    def add(grads: list[Optional[np.ndarray]]) -> None:
+        for j, g in enumerate(grads):
+            if g is not None:
+                total[j] = g if total[j] is None else total[j] + g
+
+    _parallel(step, micro, add)
+    return total
+
+
 def _snapshot(params: ModelParams) -> list[np.ndarray]:
     return [t.data.copy() for _, t in named_parameters(params)]
 
@@ -240,6 +304,90 @@ def _restore(config: ModelConfig, snap: list[np.ndarray]) -> ModelParams:
     for (_, t), data in zip(named_parameters(fresh), snap):
         t.data = data.copy()
     return fresh
+
+
+# -- worker pool --------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _blas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) of the loaded OpenBLAS's thread count, or None if there is
+    no OpenBLAS in this process or it exposes no such control. The count is
+    process-wide: OpenBLAS's thread-local setter changes it for every thread."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:   # not a loaded shared library
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                set_.restype, set_.argtypes = None, (ctypes.c_int,)
+                return get, set_
+    return None
+
+
+def _workers() -> int:
+    """Pool threads: one per usable core, or one if BLAS threads cannot be set."""
+    return 1 if _blas_threads() is None else len(os.sched_getaffinity(0))
+
+
+@lru_cache(maxsize=None)
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="floodnowcast")
+
+
+_PARALLEL = threading.Lock()   # one parallel region at a time owns the BLAS setting
+
+
+@contextmanager
+def _single_threaded_blas() -> Iterator[None]:
+    control = _blas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _parallel(task: Callable, items: Sequence, consume: Callable) -> None:
+    """``consume(task(item))`` for every item, in item order.
+
+    Tasks run on the pool while BLAS runs one thread (the previous count is
+    restored on exit); ``consume`` runs in the calling thread. With one
+    worker, or under ``canonical_reductions`` (thread-local), every task
+    runs in the calling thread instead. The first exception, in item order,
+    propagates once every started task has finished and the rest are
+    cancelled.
+    """
+    workers = min(_workers(), len(items))
+    if workers <= 1 or tc._canonical():
+        for item in items:
+            consume(task(item))
+        return
+    with _PARALLEL, _single_threaded_blas():
+        pool = _executor(_workers())
+        pending = deque(pool.submit(task, item) for item in items)
+        try:
+            while pending:
+                consume(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
+            wait(pending)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -266,20 +414,24 @@ def eval_batch_windows(config: ModelConfig) -> int:
 def predict_windows(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
                     ends: np.ndarray, ablation: str = "none") -> WindowPredictions:
     """The single eval path: one eval-mode ``forward`` per window, in batches
-    of :func:`eval_batch_windows`. ``forward`` is bitwise independent of the
-    batch size, so the batching moves no output. History, metrics, confusion
+    of :func:`eval_batch_windows` scored on the worker pool and concatenated
+    in order. ``forward`` is bitwise independent of the batch size, so the
+    batching moves no output. History, metrics, confusion
     matrices and prediction files are all read off the returned arrays."""
     if len(ends) == 0:
         raise UsageError("no windows to score")
     batch = eval_batch_windows(params.config)
-    batches = []
-    for i in range(0, len(ends), batch):
-        xs, ys = window_batch(dataset, ends[i:i + batch], params.config.t_in,
-                              params.config.horizon)
+
+    def score(chunk: np.ndarray) -> tuple:
+        xs, ys = window_batch(dataset, chunk, params.config.t_in, params.config.horizon)
         logits, probs = forward(xs, graph, params, training=False, ablation=ablation)
         logp = tc.log_softmax(logits, axis=-1).data
         nll = -np.take_along_axis(logp, ys[..., None], axis=-1)[..., 0]
-        batches.append((probs.data, np.argmax(probs.data, axis=-1), ys, nll.mean(axis=1)))
+        return probs.data, np.argmax(probs.data, axis=-1), ys, nll.mean(axis=1)
+
+    batches: list[tuple] = []
+    _parallel(score, [ends[i:i + batch] for i in range(0, len(ends), batch)],
+              batches.append)
     return WindowPredictions(*(np.concatenate(parts) for parts in zip(*batches)))
 
 
@@ -341,7 +493,8 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
     class_w = inverse_frequency_weights(dataset.labels[:, grad_ends + horizon])
 
     params = init_params(model_config)
-    opt = _Optimizer([t for _, t in named_parameters(params)], config.learning_rate)
+    leaves = [t for _, t in named_parameters(params)]
+    opt = _Optimizer(leaves, config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     history = TrainHistory()
@@ -354,12 +507,12 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
         try:
             for i in range(0, len(order), config.batch_size):
                 chunk = grad_ends[order[i:i + config.batch_size]]
-                xs, ys = window_batch(dataset, chunk, t_in, horizon)
-                with Tape() as tape:
-                    logits, _ = forward(xs, graph, params, training=True, rng=rng,
-                                        ablation=ablation)
-                    loss = cross_entropy(logits, ys, class_w)
-                tape.backward(loss)
+                keep = dropout_masks(model_config, len(chunk), rng) \
+                    if model_config.dropout_rate > 0.0 else None
+                grads = _batch_gradients(dataset, graph, params, chunk, class_w, keep,
+                                         ablation)
+                for t, g in zip(leaves, grads):
+                    t.grad = g
                 opt.step()
         except DomainError as exc:
             raise TrainingDiverged(epoch, f"epoch {epoch}: {exc}") from exc
@@ -388,6 +541,16 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
     return _restore(model_config, best_snap), history
 
 
+def grid_configs(base_config: TrainConfig, learning_rates: Sequence[float],
+                 dropout_rates: Sequence[float]) -> list[TrainConfig]:
+    """The learning rate x dropout grid over ``base_config``, in grid order;
+    :class:`UsageError` for an empty grid or a value no ``TrainConfig`` takes."""
+    if not learning_rates or not dropout_rates:
+        raise UsageError("tuning grid must be non-empty")
+    return [replace(base_config, learning_rate=lr, dropout_rate=dr)
+            for lr in learning_rates for dr in dropout_rates]
+
+
 def tune(dataset: FeatureTensor, graph: RegionGraph, base_config: TrainConfig,
          learning_rates: Sequence[float], dropout_rates: Sequence[float],
          model_config: Optional[ModelConfig] = None,
@@ -398,10 +561,7 @@ def tune(dataset: FeatureTensor, graph: RegionGraph, base_config: TrainConfig,
     validation loss, then grid order. Returns the winning config and the full
     leaderboard, sorted.
     """
-    if not learning_rates or not dropout_rates:
-        raise UsageError("tuning grid must be non-empty")
-    combos = [replace(base_config, learning_rate=lr, dropout_rate=dr)
-              for lr in learning_rates for dr in dropout_rates]
+    combos = grid_configs(base_config, learning_rates, dropout_rates)
 
     def run(cfg: TrainConfig) -> dict:
         _, history = train(dataset, graph, cfg, model_config, ablation)

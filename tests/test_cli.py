@@ -430,21 +430,30 @@ def _changed(section, **change):
     ("train", _changed("train", seed=-1)),
     ("train", _changed("train", patience=-3)),
     ("generate", {**SCENARIO_CFG, "seed": -1}),
+    ("tune", _changed("grid", dropout_rates=[1.5])),
+    ("tune", _changed("grid", dropout_rates=[-0.1])),
+    ("tune", _changed("grid", learning_rates=[-1e-3])),
+    ("tune", _changed("grid", learning_rates=[])),
 ], ids=["epochs", "batch_size", "seed", "dropout_rate", "patience", "patience_bool",
         "top_level", "model_section", "train_section", "k", "channels_entry",
         "channels_scalar", "t_in", "horizon", "grid_section", "scenario_n_nodes",
         "scenario_seed", "scenario_top_level", "grid_learning_rates_scalar",
         "grid_dropout_rates_scalar", "grid_unknown_key", "negative_seed",
-        "negative_patience", "scenario_negative_seed"])
+        "negative_patience", "scenario_negative_seed", "grid_dropout_above_1",
+        "grid_negative_dropout", "grid_negative_learning_rate", "grid_empty"])
 def test_config_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
+    out = tmp_path / "r"
     if command == "generate":
-        argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+        argv = ["generate", "--config", str(cfg), "--out", str(out)]
     else:
         argv = [command, "--dataset", str(workspace / "data"), "--config", str(cfg),
-                "--out", str(tmp_path / "r")]
-    _assert_usage_error(capsys, argv)
+                "--out", str(out)]
+    err = _assert_usage_error(capsys, argv)
+    assert not out.exists()
+    if command == "tune" and isinstance(config["grid"], dict):
+        assert str(cfg) in err and "section 'grid'" in err, err
 
 
 # 250.0 and 0 are also outside this 96-step dataset; 50.0 is inside it, where a

@@ -191,9 +191,10 @@ def test_temporal_conv_dropout_train_vs_eval():
     phi[1] = np.eye(4)
     eval_out = temporal_conv(Tensor(y), Tensor(phi), 0.5, training=False)
     np.testing.assert_allclose(eval_out.data, y, atol=1e-14)  # inference: identity
-    train_out = temporal_conv(Tensor(y), Tensor(phi), 0.5, training=True,
-                              rng=np.random.default_rng(0))
+    keep = np.random.default_rng(0).random(y.shape) >= 0.5
+    train_out = temporal_conv(Tensor(y), Tensor(phi), 0.5, training=True, keep=keep)
     assert np.any(train_out.data == 0.0)
+    np.testing.assert_allclose(train_out.data, y * keep * 2.0, atol=1e-14)
     with pytest.raises(UsageError):
         temporal_conv(Tensor(y), Tensor(phi), 0.5, training=True)
 

@@ -1,5 +1,6 @@
 import math
 import platform
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from floodnowcast.tensor import (
     Tensor,
     canonical_reductions,
     conv1d_same,
+    diagonal,
     gradient_check,
     log_softmax,
     matmul,
@@ -160,6 +162,7 @@ OPS = {
     "sigmoid": lambda t: sigmoid(t).sum(),
     "softmax": lambda t: (softmax(t.reshape(4, t.size // 4), axis=1) * Tensor(np.arange(t.size, dtype=float).reshape(4, t.size // 4))).sum(),
     "log_softmax": lambda t: (log_softmax(t.reshape(4, t.size // 4), axis=1) * 0.25).sum(),
+    "diagonal": lambda t: _square_sum(diagonal(t.reshape(1, 4, 4))),
     "conv1d_same": lambda t: conv1d_same(t.reshape(2, 2, t.size // 4), Tensor(np.linspace(-1, 1, 12).reshape(3, 2, 2))).sum(),
     # a 2-D left operand against a batched right one: the w3/u3 row of the attention code
     "matmul_row_batched": lambda t: _square_sum(matmul(t.reshape(1, t.size), Tensor(np.linspace(-1, 1, 2 * t.size * 3).reshape(2, t.size, 3)))),
@@ -199,12 +202,19 @@ def test_freed_step_sized_arrays_are_reused_without_page_faults():
         arrays = [np.ones(1 << 18) for _ in range(20)]   # 20 arrays of 2 MiB
         del arrays
 
-    cycle()   # the first cycle grows the heap
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        cycle()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 10 * 100, f"{faults / 10:.0f} minor faults per cycle"
+    def cycle_in_a_thread():   # the arrays are allocated and freed in another thread
+        worker = threading.Thread(target=cycle)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+
+    for run in (cycle, cycle_in_a_thread):
+        run()   # the first cycle grows the heap
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            run()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 10 * 100, f"{run.__name__}: {faults / 10:.0f} minor faults per cycle"
 
 
 def test_conv1d_same_identity_kernel():

@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from floodnowcast.errors import TrainingDiverged, UsageError
+from floodnowcast.errors import DomainError, TrainingDiverged, UsageError
 from floodnowcast.graph import RegionGraph, StaticFeatures, UnitNode
-from floodnowcast.model import ModelConfig, forward, init_params, named_parameters
+from floodnowcast.model import (ModelConfig, dropout_masks, forward, init_params,
+                                named_parameters)
 from floodnowcast.pipeline import CHANNELS, TimeGrid, assemble
 import floodnowcast.tensor as tensor
 from floodnowcast.tensor import Tape, Tensor
@@ -339,6 +342,136 @@ def test_history_csv_format(tmp_path):
     assert lines[0] == "epoch,train_loss,train_acc,val_macro_f1,val_loss,val_acc"
     assert len(lines) == 3
     assert lines[1].startswith("0,")
+
+
+# -- worker pool -------------------------------------------------------------------
+
+_WINDOW_BYTES = 8 * 5 * (8 * 6 + 5)   # eval_batch_windows' cost of one toy window
+
+
+def _in_worker() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_train_is_bitwise_independent_of_the_worker_count(monkeypatch, dropout):
+    ft = _toy_dataset(seed=8)
+    graph = _toy_graph(seed=8)
+    cfg = TrainConfig(learning_rate=3e-3, dropout_rate=dropout, epochs=2, batch_size=8,
+                      seed=8)
+    # batches of 8 split into micro-batches of 3, 3 and 2
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 3 * _WINDOW_BYTES)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(training, "_workers", lambda w=workers: w)
+        runs.append(train(ft, graph, cfg, _model_cfg()))
+    (serial, serial_history), (pooled, pooled_history) = runs
+    for (name, a), (_, b) in zip(named_parameters(serial), named_parameters(pooled)):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    assert pooled_history == serial_history
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_micro_batch_gradients_match_the_whole_batch(monkeypatch, dropout):
+    ft = _toy_dataset(seed=11)
+    graph = _toy_graph(seed=11)
+    cfg = ModelConfig(n_nodes=5, channels=(8,), t_in=6, k=3, horizon=1,
+                      dropout_rate=dropout)
+    params = init_params(cfg)
+    chunk = np.arange(5, 13)
+    class_w = np.array([0.5, 1.0, 2.0])
+    keep = dropout_masks(cfg, len(chunk), np.random.default_rng(0)) if dropout else None
+    xs, ys = window_batch(ft, chunk, cfg.t_in, cfg.horizon)
+    with Tape() as tape:
+        logits, _ = forward(xs, graph, params, training=True, keep=keep)
+        loss = cross_entropy(logits, ys, class_w)
+    tape.backward(loss)
+    reference = [t.grad for _, t in named_parameters(params)]
+
+    whole = training._batch_gradients(ft, graph, params, chunk, class_w, keep, "none")
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 3 * _WINDOW_BYTES)
+    split = training._batch_gradients(ft, graph, params, chunk, class_w, keep, "none")
+    for (name, _), ref, a, b in zip(named_parameters(params), reference, whole, split):
+        assert a.tobytes() == ref.tobytes(), name   # one micro-batch: the unsplit step
+        np.testing.assert_allclose(b, ref, rtol=1e-10, atol=1e-15, err_msg=name)
+
+
+def test_predict_windows_is_bitwise_the_same_pooled_and_serial(monkeypatch):
+    ft = _toy_dataset(seed=3)
+    graph = _toy_graph(seed=3)
+    params = init_params(_model_cfg())
+    ends = np.arange(5, 59)
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 2 * _WINDOW_BYTES)
+    scored = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads as often as the interpreter can
+    try:
+        for workers in (1, 2, 4):   # 4: more workers than this machine may have cores
+            monkeypatch.setattr(training, "_workers", lambda w=workers: w)
+            scored.append(predict_windows(ft, graph, params, ends))
+    finally:
+        sys.setswitchinterval(interval)
+    for pooled in scored[1:]:
+        for a, b in zip(pooled, scored[0]):
+            assert a.tobytes() == b.tobytes()
+
+
+def _blas_count():
+    control = training._blas_threads()
+    return None if control is None else control[0]()
+
+
+def test_blas_runs_one_thread_in_the_pool_and_keeps_its_count_outside(monkeypatch):
+    before = _blas_count()
+    if before is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    seen = []
+
+    def recording_forward(*args, **kwargs):
+        seen.append((_in_worker(), _blas_count()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(training, "_workers", lambda: 2)
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 3 * _WINDOW_BYTES)
+    ft = _toy_dataset(seed=9)
+    graph = _toy_graph(seed=9)
+    params, _ = train(ft, graph, TrainConfig(epochs=1, batch_size=8, seed=9), _model_cfg())
+    assert _blas_count() == before
+    predict_windows(ft, graph, params, np.arange(5, 59))
+    assert _blas_count() == before
+    assert any(in_worker for in_worker, _ in seen)
+    assert all(count == 1 for in_worker, count in seen if in_worker)
+
+
+def test_a_worker_error_surfaces_with_its_epoch_and_the_pool_stays_usable(monkeypatch):
+    ft = _toy_dataset(seed=10)
+    graph = _toy_graph(seed=10)
+    evaluated = threading.Event()
+
+    def failing_forward(*args, **kwargs):
+        if not kwargs.get("training"):
+            evaluated.set()      # the first eval pass ends epoch 0
+        elif evaluated.is_set() and _in_worker():
+            raise DomainError("block 0: injected")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_workers", lambda: 2)
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 3 * _WINDOW_BYTES)
+    monkeypatch.setattr(training, "forward", failing_forward)
+    before = _blas_count()
+    with pytest.raises(TrainingDiverged) as err:
+        train(ft, graph, TrainConfig(epochs=3, batch_size=8, seed=10), _model_cfg())
+    assert err.value.epoch == 1 and "injected" in str(err.value)
+    assert _blas_count() == before
+
+    monkeypatch.setattr(training, "forward", forward)
+    params = init_params(_model_cfg())
+    pooled = predict_windows(ft, graph, params, np.arange(5, 59))
+    monkeypatch.setattr(training, "_workers", lambda: 1)
+    serial = predict_windows(ft, graph, params, np.arange(5, 59))
+    for a, b in zip(pooled, serial):
+        assert a.tobytes() == b.tobytes()
 
 
 # -- tuning ------------------------------------------------------------------------
