@@ -180,10 +180,10 @@ def cmd_generate(args, argv) -> int:
 
 
 def cmd_prepare(args, argv) -> int:
-    out = _out_dir(args)
-    run = _Run("prepare", out, argv)
+    run = _Run("prepare", Path(args.out), argv)
     run.add_input_dir(args.scenario)
     ft = prepare_from_dir(args.scenario, train_steps=args.train_steps)
+    out = _out_dir(args)   # only once the inputs have converted
     save_dataset(ft, out / "dataset.bin")
     src_nodes = Path(args.scenario) / "nodes.csv"
     if Path(args.scenario).resolve() != out.resolve():
@@ -200,16 +200,14 @@ def cmd_prepare(args, argv) -> int:
 def _train_setup(args, cfg_all: dict):
     """The train config, dataset, model config and graph of `train` and `tune`.
 
-    The dataset fixes the model's ``n_nodes`` and ``in_channels``, the train
-    config its ``seed`` and ``dropout_rate``.
+    The dataset fixes the model's ``n_nodes`` and ``in_channels``.
     """
     source = f"train config file {args.config} section"
     train_cfg = config_from(TrainConfig, {**_section(cfg_all, "train"), **_seed_flag(args)},
                             f"{source} 'train'")
     ft = _load_features(args.dataset, args.channels)
     model_cfg = config_from(ModelConfig, _section(cfg_all, "model"), f"{source} 'model'",
-                            n_nodes=ft.n_nodes, in_channels=ft.values.shape[1],
-                            seed=train_cfg.seed, dropout_rate=train_cfg.dropout_rate)
+                            n_nodes=ft.n_nodes, in_channels=ft.values.shape[1])
     graph = _load_graph(args.dataset, ft, model_cfg.k, args.ablation)
     return train_cfg, ft, model_cfg, graph
 
@@ -217,8 +215,7 @@ def _train_setup(args, cfg_all: dict):
 def cmd_train(args, argv) -> int:
     cfg_all = _load_json(args.config, "train config")
     train_cfg, ft, model_cfg, graph = _train_setup(args, cfg_all)
-    split = train_cfg.split_step if train_cfg.split_step is not None else ft.train_steps
-    _, test_ends = make_windows(ft, model_cfg.t_in, model_cfg.horizon, split)
+    _, test_ends = make_windows(ft, model_cfg.t_in, model_cfg.horizon, ft.train_steps)
     if len(test_ends) == 0:
         raise UsageError("no test windows after the split; nothing to score")
 
@@ -232,7 +229,6 @@ def cmd_train(args, argv) -> int:
     params, history = train(ft, graph, train_cfg, model_cfg, ablation=args.ablation)
     save_weights(params, out / "weights.bin",
                  extra={"ablation": args.ablation, "channels": args.channels,
-                        "split_step": split,
                         "validation_fraction": train_cfg.validation_fraction})
     history.to_csv(out / "history.csv")
     report, cm, _ = evaluate_windows(ft, graph, params, test_ends, ablation=args.ablation)
@@ -289,14 +285,14 @@ def cmd_tune(args, argv) -> int:
 
 
 # the weights header entries `train` adds for `evaluate` and `predict`
-_TRAIN_RECORD = {"ablation": "str", "channels": "str", "split_step": "int",
-                 "validation_fraction": "float"}
+_TRAIN_RECORD = {"ablation": "str", "channels": "str", "validation_fraction": "float"}
 
 
 def _resolve_eval(args):
+    """Dataset, graph, weights, window ends and ablation of `evaluate` and
+    `predict`; the timeline splits at the dataset's ``train_steps``."""
     header = read_weights_header(args.weights, _TRAIN_RECORD)
     ablation, channels = header["ablation"], header["channels"]
-    split, fraction = header["split_step"], header["validation_fraction"]
     if ablation not in ABLATIONS or channels not in CHANNEL_VIEWS:
         raise UsageError(f"{args.weights} records ablation {ablation!r} and channels "
                          f"{channels!r}; expected one of {ABLATIONS} and {CHANNEL_VIEWS}")
@@ -307,9 +303,10 @@ def _resolve_eval(args):
     if cfg.n_nodes != ft.n_nodes:
         raise UsageError(f"weights expect {cfg.n_nodes} nodes, dataset has {ft.n_nodes}")
     if args.split == "train":
-        ends, _ = fit_windows(ft, cfg.t_in, cfg.horizon, split, fraction)
+        ends, _ = fit_windows(ft, cfg.t_in, cfg.horizon, ft.train_steps,
+                              header["validation_fraction"])
     else:
-        _, ends = make_windows(ft, cfg.t_in, cfg.horizon, split)
+        _, ends = make_windows(ft, cfg.t_in, cfg.horizon, ft.train_steps)
     if len(ends) == 0:
         raise UsageError(f"no {args.split} windows in this dataset")
     return ft, graph, params, ends, ablation

@@ -56,7 +56,6 @@ def _sequence_of(kind, accepts):
 # JSON header type -> (accepts a value, what it expects)
 _FIELD_TYPES = {
     "int": (is_int, "an integer"),
-    "Optional[int]": (lambda v: v is None or is_int(v), "an integer or null"),
     "float": (_is_number, "a number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[int, ...]": (_sequence_of(tuple, is_int), "a list of integers"),

@@ -29,6 +29,7 @@ with a softmax.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -46,6 +47,8 @@ __all__ = [
     "ModelConfig",
     "STBlockParams",
     "ModelParams",
+    "param_layout",
+    "params_from_arrays",
     "init_params",
     "spatial_attention",
     "temporal_attention",
@@ -71,7 +74,7 @@ ABLATIONS = ("none", "attention-off", "graph-off")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shapes and hyperparameters of one model instance."""
+    """Architecture of one model instance: shapes only, no run settings."""
 
     n_nodes: int
     in_channels: int = 6
@@ -80,8 +83,6 @@ class ModelConfig:
     kernel_width: int = 3                      # temporal kernel width (odd)
     t_in: int = 12                             # input window length
     horizon: int = 1                           # steps ahead of the window end
-    dropout_rate: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         check_field_types(self)
@@ -93,29 +94,26 @@ class ModelConfig:
                              f"({list(self.channels)}) must be >= 1")
         if self.kernel_width % 2 == 0:
             raise UsageError(f"kernel_width must be odd, got {self.kernel_width}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise UsageError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        if self.horizon < 0 or self.seed < 0:
-            raise UsageError(f"horizon ({self.horizon}) and seed ({self.seed}) "
-                             f"must be >= 0")
+        if self.horizon < 0:
+            raise UsageError(f"horizon must be >= 0, got {self.horizon}")
 
 
 @dataclass
 class STBlockParams:
-    """Learnable tensors of one spatial-temporal block."""
+    """Learnable tensors of one spatial-temporal block (shapes: :func:`param_layout`)."""
 
-    p_s: Tensor     # (N, N) spatial attention gate
-    b_s: Tensor     # (N, N) spatial attention bias
-    w1: Tensor      # (T,)  time contraction
-    w2: Tensor      # (C_in, T)
-    w3: Tensor      # (C_in,) channel contraction
-    v_e: Tensor     # (T, T) temporal attention gate
-    b_e: Tensor     # (T, T) temporal attention bias
-    u1: Tensor      # (N,)  node contraction
-    u2: Tensor      # (N, C_in)
-    u3: Tensor      # (C_in,)
-    theta: list[Tensor]   # K matrices (C_in, C_out), Chebyshev coefficients
-    phi: Tensor     # (kernel_width, C_out, C_out) temporal kernel
+    p_s: Tensor     # spatial attention gate
+    b_s: Tensor     # spatial attention bias
+    w1: Tensor      # time contraction
+    w2: Tensor
+    w3: Tensor      # channel contraction
+    v_e: Tensor     # temporal attention gate
+    b_e: Tensor     # temporal attention bias
+    u1: Tensor      # node contraction
+    u2: Tensor
+    u3: Tensor
+    theta: list[Tensor]   # K Chebyshev coefficient matrices
+    phi: Tensor     # temporal kernel
 
 
 @dataclass
@@ -124,69 +122,70 @@ class ModelParams:
 
     config: ModelConfig
     blocks: list[STBlockParams]
-    fc_w: Tensor    # (C_last * t_in, 3)
-    fc_b: Tensor    # (3,)
+    fc_w: Tensor
+    fc_b: Tensor
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
-            fans: Optional[tuple[int, int]] = None) -> Tensor:
-    if fans is None:
-        if len(shape) == 1:
-            fans = (shape[0], shape[0])
-        elif len(shape) == 2:
-            fans = (shape[0], shape[1])
-        else:
-            raise UsageError(f"fans required for shape {shape}")
-    r = np.sqrt(6.0 / (fans[0] + fans[1]))
-    return Tensor(rng.uniform(-r, r, size=shape), requires_grad=True)
+def param_layout(config: ModelConfig
+                 ) -> list[tuple[str, tuple[int, ...], tuple[int, int]]]:
+    """``(name, shape, Glorot fans)`` of every parameter group, in the one
+    order that is the init draw order, the ``named_parameters`` order and the
+    ``weights.bin`` payload order: blocks in order, each block's groups in
+    ``STBlockParams`` field order, the FC head last."""
+    n, t, kw = config.n_nodes, config.t_in, config.kernel_width
+    layout = []
 
+    def group(name, shape, fans=None):
+        layout.append((name, shape, fans or (shape[0], shape[-1])))
 
-def init_params(config: ModelConfig) -> ModelParams:
-    """Seeded Glorot-uniform initialization of every parameter group.
-
-    Draw order is fixed (blocks in order, fields in declaration order, FC
-    head last) so a seed pins every weight bit-for-bit.
-    """
-    rng = np.random.default_rng(config.seed)
-    n, t = config.n_nodes, config.t_in
-    blocks = []
     c_in = config.in_channels
-    for c_out in config.channels:
-        blocks.append(STBlockParams(
-            p_s=_glorot(rng, (n, n)),
-            b_s=_glorot(rng, (n, n)),
-            w1=_glorot(rng, (t,)),
-            w2=_glorot(rng, (c_in, t)),
-            w3=_glorot(rng, (c_in,)),
-            v_e=_glorot(rng, (t, t)),
-            b_e=_glorot(rng, (t, t)),
-            u1=_glorot(rng, (n,)),
-            u2=_glorot(rng, (n, c_in)),
-            u3=_glorot(rng, (c_in,)),
-            theta=[_glorot(rng, (c_in, c_out)) for _ in range(config.k)],
-            phi=_glorot(rng, (config.kernel_width, c_out, c_out),
-                        fans=(config.kernel_width * c_out, config.kernel_width * c_out)),
-        ))
+    for i, c_out in enumerate(config.channels):
+        p = f"block{i}."
+        for name, shape in (("p_s", (n, n)), ("b_s", (n, n)), ("w1", (t,)),
+                            ("w2", (c_in, t)), ("w3", (c_in,)), ("v_e", (t, t)),
+                            ("b_e", (t, t)), ("u1", (n,)), ("u2", (n, c_in)),
+                            ("u3", (c_in,))):
+            group(p + name, shape)
+        for k in range(config.k):
+            group(f"{p}theta{k}", (c_in, c_out))
+        group(p + "phi", (kw, c_out, c_out), fans=(kw * c_out, kw * c_out))
         c_in = c_out
-    fc_w = _glorot(rng, (config.channels[-1] * t, N_CLASSES))
-    fc_b = _glorot(rng, (N_CLASSES,))
-    return ModelParams(config=config, blocks=blocks, fc_w=fc_w, fc_b=fc_b)
+    group("fc.weight", (config.channels[-1] * t, N_CLASSES))
+    group("fc.bias", (N_CLASSES,))
+    return layout
+
+
+def params_from_arrays(config: ModelConfig, arrays: Sequence[np.ndarray]) -> ModelParams:
+    """``ModelParams`` over ``arrays``, given in :func:`param_layout` order, each
+    on a new leaf tensor (the arrays themselves are not copied)."""
+    leaves = iter([Tensor(a, requires_grad=True) for a in arrays])
+    blocks = [STBlockParams(**{f.name: [next(leaves) for _ in range(config.k)]
+                               if f.name == "theta" else next(leaves)
+                               for f in fields(STBlockParams)})
+              for _ in config.channels]
+    return ModelParams(config, blocks, fc_w=next(leaves), fc_b=next(leaves))
+
+
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """Seeded Glorot-uniform initialization, drawn in :func:`param_layout`
+    order, so a seed pins every weight bit-for-bit."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for _, shape, (fan_in, fan_out) in param_layout(config):
+        r = np.sqrt(6.0 / (fan_in + fan_out))
+        arrays.append(rng.uniform(-r, r, size=shape))
+    return params_from_arrays(config, arrays)
 
 
 def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
-    """Parameter groups in their persistence (and init) order."""
-    out = []
-    for i, blk in enumerate(params.blocks):
-        prefix = f"block{i}."
-        out += [(prefix + "p_s", blk.p_s), (prefix + "b_s", blk.b_s),
-                (prefix + "w1", blk.w1), (prefix + "w2", blk.w2),
-                (prefix + "w3", blk.w3), (prefix + "v_e", blk.v_e),
-                (prefix + "b_e", blk.b_e), (prefix + "u1", blk.u1),
-                (prefix + "u2", blk.u2), (prefix + "u3", blk.u3)]
-        out += [(f"{prefix}theta{k}", th) for k, th in enumerate(blk.theta)]
-        out.append((prefix + "phi", blk.phi))
-    out += [("fc.weight", params.fc_w), ("fc.bias", params.fc_b)]
-    return out
+    """Parameter groups in :func:`param_layout` order."""
+    tensors = []
+    for blk in params.blocks:
+        for value in vars(blk).values():
+            tensors += value if isinstance(value, list) else [value]
+    tensors += [params.fc_w, params.fc_b]
+    return [(name, t) for (name, _, _), t in zip(param_layout(params.config), tensors,
+                                                 strict=True)]
 
 
 # -- block operations ---------------------------------------------------------
@@ -265,41 +264,38 @@ def cheb_graph_conv(x: Tensor, cheb_basis: Sequence[np.ndarray], s_norm: Tensor,
     return acc.transpose((0, 1, 3, 2))                   # (B, N, C_out, T)
 
 
-def temporal_conv(y: Tensor, phi: Tensor, dropout_rate: float, training: bool,
-                  keep: Optional[np.ndarray] = None) -> Tensor:
-    """ReLU, same-padded temporal convolution, ReLU, then dropout if training.
+def temporal_conv(y: Tensor, phi: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    """ReLU, same-padded temporal convolution, ReLU, then dropout if a mask is given.
 
     The incoming ``y`` is the raw graph-convolution output; the inner ReLU is
     applied here so the graph convolution stays purely linear and testable.
-    Dropout is inverted (the boolean keep-mask ``keep``, of the output's
-    shape, scaled by 1/(1-p)) so inference is the identity.
+    Dropout is inverted: ``mask``, of the output's shape, holds 0 for a
+    dropped value and 1/(1-p) for a kept one (see :func:`dropout_masks`), so
+    inference, which passes no mask, is the identity.
     """
     out = tc.relu(tc.conv1d_same(tc.relu(y), phi))
-    if training and dropout_rate > 0.0:
-        if keep is None:
-            raise UsageError("training-mode dropout needs a keep-mask")
-        out = out * Tensor(keep / (1.0 - dropout_rate))
-    return out
+    return out if mask is None else out * Tensor(mask)
 
 
-def dropout_masks(config: ModelConfig, batch: int,
+def dropout_masks(config: ModelConfig, rate: float, batch: int,
                   rng: np.random.Generator) -> list[np.ndarray]:
-    """The boolean keep-masks, one (batch, N, C_out, T) array per block, that a
-    training-mode ``forward`` of ``batch`` windows draws from ``rng``, drawn
-    in the same order; window ``i``'s masks are row ``i`` of each."""
-    return [rng.random((batch, config.n_nodes, c, config.t_in)) >= config.dropout_rate
+    """The inverted-dropout masks at ``rate``, one (batch, N, C_out, T) array
+    per block, drawn from ``rng`` in block order: a value is kept (scaled by
+    1/(1-rate)) where its uniform draw is at least ``rate``, else zeroed.
+    Window ``i``'s masks are row ``i`` of each."""
+    return [(rng.random((batch, config.n_nodes, c, config.t_in)) >= rate) / (1.0 - rate)
             for c in config.channels]
 
 
 def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
             ablation: str = "none",
-            keep: Optional[Sequence[np.ndarray]] = None) -> tuple[Tensor, Tensor]:
+            masks: Optional[Sequence[np.ndarray]] = None) -> tuple[Tensor, Tensor]:
     """Full model pass: (B, N, C, T) or (N, C, T) input to per-node logits.
 
     Returns ``(logits, class_probs)`` with shapes (B, N, 3); a rank-3 input is
     treated as a batch of one and returned with the batch axis squeezed.
-    Training-mode dropout needs the per-block keep-masks ``keep`` (see
-    :func:`dropout_masks`).
+    Training-mode dropout multiplies block ``i``'s output by ``masks[i]``
+    (see :func:`dropout_masks`); without masks, or in eval mode, there is none.
     Raises :class:`DomainError` naming the block and stage if any layer
     produces a non-finite value.
     """
@@ -331,8 +327,8 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
                 h = apply_temporal_attention(h, e_norm)
                 s_norm = spatial_attention(h, blk)
             y = cheb_graph_conv(h, graph.cheb_basis[:cfg.k], s_norm, blk.theta)
-            h = temporal_conv(y, blk.phi, cfg.dropout_rate, training,
-                              keep=None if keep is None else keep[i])
+            mask = masks[i] if training and masks is not None else None
+            h = temporal_conv(y, blk.phi, mask)
         except DomainError as exc:
             raise DomainError(f"block {i}: {exc}") from exc
     try:
@@ -350,7 +346,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
 # -- weight persistence ---------------------------------------------------------
 
 _WEIGHTS_FORMAT = "floodnowcast-weights"
-_WEIGHTS_VERSION = 2   # 2: the header carries its own sha256 (`header_sha256`)
+_WEIGHTS_VERSION = 3   # 3: `config` holds the architecture only (no seed, dropout_rate)
 
 
 def save_weights(params: ModelParams, path: str | Path,
@@ -400,19 +396,19 @@ def load_weights(path: str | Path) -> ModelParams:
     if header["channel_order"] != list(range(config.in_channels)):
         raise UsageError(f"{path} records channel_order {header['channel_order']}; "
                          f"expected {list(range(config.in_channels))}")
-    params = init_params(config)
-    named = named_parameters(params)
-    for spec, (name, t) in zip(header["params"], named):
-        if (spec["name"], tuple(spec["shape"])) != (name, t.shape):
+    layout = param_layout(config)
+    for spec, (name, shape, _) in zip(header["params"], layout):
+        if (spec["name"], tuple(spec["shape"])) != (name, shape):
             raise UsageError(f"{path} lists parameter {spec['name']} {spec['shape']}; "
-                             f"its config needs {name} {list(t.shape)}")
-    if len(header["params"]) != len(named):
+                             f"its config needs {name} {list(shape)}")
+    if len(header["params"]) != len(layout):
         raise UsageError(f"{path} lists {len(header['params'])} parameter groups; "
-                         f"its config needs {len(named)}")
-    check_payload(payload, 8 * sum(t.data.size for _, t in named), header, path)
-    offset = 0
-    for _, t in named:
-        t.data = np.frombuffer(payload, dtype="<f8", count=t.data.size,
-                               offset=offset).reshape(t.shape).copy()
-        offset += 8 * t.data.size
-    return params
+                         f"its config needs {len(layout)}")
+    sizes = [math.prod(shape) for _, shape, _ in layout]
+    check_payload(payload, 8 * sum(sizes), header, path)
+    arrays, offset = [], 0
+    for (_, shape, _), size in zip(layout, sizes):
+        arrays.append(np.frombuffer(payload, dtype="<f8", count=size,
+                                    offset=offset).reshape(shape).copy())
+        offset += 8 * size
+    return params_from_arrays(config, arrays)

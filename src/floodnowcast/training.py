@@ -43,11 +43,11 @@ from .metrics import ConfusionMatrix, MetricsReport, confusion, macro_metrics
 from .model import (
     ModelConfig,
     ModelParams,
-    STBlockParams,
     dropout_masks,
     forward,
     init_params,
     named_parameters,
+    params_from_arrays,
 )
 from .pipeline import FeatureTensor
 from . import tensor as tc
@@ -90,7 +90,6 @@ class TrainConfig:
     batch_size: int = 24
     seed: int = 0
     patience: int = 0                           # 0 disables early stopping
-    split_step: Optional[int] = None            # None: use the dataset's train_steps
     validation_fraction: float = 0.15
 
     def __post_init__(self):
@@ -105,8 +104,6 @@ class TrainConfig:
                              f"must be >= 0")
         if not 0.0 < self.validation_fraction < 1.0:
             raise UsageError("validation_fraction must be in (0, 1)")
-        if self.split_step is not None and self.split_step < 1:
-            raise UsageError(f"split_step must be >= 1, got {self.split_step!r}")
 
 
 @dataclass(frozen=True)
@@ -233,10 +230,10 @@ class _Optimizer:
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
-    def step(self) -> None:
+    def step(self, grads: Sequence[Optional[np.ndarray]]) -> None:
+        """One update from ``grads``, in parameter order (None: no gradient)."""
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
+        for i, (p, g) in enumerate(zip(self.params, grads, strict=True)):
             if g is None:
                 continue
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
@@ -249,24 +246,18 @@ class _Optimizer:
 def _fresh_leaves(params: ModelParams) -> ModelParams:
     """The same weight arrays on new leaf tensors, so that a backward pass in a
     worker writes ``grad`` only on tensors no other thread touches."""
-    def leaf(t: Tensor) -> Tensor:
-        return Tensor(t.data, requires_grad=True)
-
-    blocks = [STBlockParams(**{name: [leaf(t) for t in value] if isinstance(value, list)
-                               else leaf(value) for name, value in vars(blk).items()})
-              for blk in params.blocks]
-    return ModelParams(params.config, blocks, leaf(params.fc_w), leaf(params.fc_b))
+    return params_from_arrays(params.config, [t.data for _, t in named_parameters(params)])
 
 
 def _batch_gradients(dataset: FeatureTensor, graph: RegionGraph, params: ModelParams,
                      chunk: np.ndarray, class_w: np.ndarray,
-                     keep: Optional[list[np.ndarray]], ablation: str
+                     masks: Optional[list[np.ndarray]], ablation: str
                      ) -> list[Optional[np.ndarray]]:
     """Gradients of one optimizer batch's loss, in ``named_parameters`` order.
 
     The batch splits into micro-batches of at most :func:`eval_batch_windows`
     windows, with sizes that differ by at most one. Each runs forward (with
-    its windows' rows of the keep-masks ``keep``) and backward on its own
+    its windows' rows of the dropout masks ``masks``) and backward on its own
     tape and leaf tensors, its loss scaled by its share of the batch; the
     gradients are summed in micro-batch order.
     """
@@ -279,7 +270,7 @@ def _batch_gradients(dataset: FeatureTensor, graph: RegionGraph, params: ModelPa
         local = _fresh_leaves(params)
         with Tape() as tape:
             logits, _ = forward(xs, graph, local, training=True, ablation=ablation,
-                                keep=None if keep is None else [k[rows] for k in keep])
+                                masks=None if masks is None else [m[rows] for m in masks])
             loss = cross_entropy(logits, ys, class_w) * (len(rows) / len(chunk))
         tape.backward(loss)
         return [t.grad for _, t in named_parameters(local)]
@@ -297,13 +288,6 @@ def _batch_gradients(dataset: FeatureTensor, graph: RegionGraph, params: ModelPa
 
 def _snapshot(params: ModelParams) -> list[np.ndarray]:
     return [t.data.copy() for _, t in named_parameters(params)]
-
-
-def _restore(config: ModelConfig, snap: list[np.ndarray]) -> ModelParams:
-    fresh = init_params(config)
-    for (_, t), data in zip(named_parameters(fresh), snap):
-        t.data = data.copy()
-    return fresh
 
 
 # -- worker pool --------------------------------------------------------------------
@@ -462,18 +446,20 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
           ablation: str = "none") -> tuple[ModelParams, TrainHistory]:
     """Train a model and return the best-validation checkpoint plus history.
 
-    ``model_config`` fixes architecture hyperparameters; its seed and dropout
-    are overridden by the train config. Per-epoch history rows hold eval-mode
+    The timeline splits at the dataset's ``train_steps``; ``model_config``
+    (default: the default architecture for the dataset's nodes) must have the
+    dataset's ``n_nodes``. Per-epoch history rows hold eval-mode
     loss and accuracy over the gradient windows and loss, accuracy and
     macro-F1 over the validation windows (see :func:`fit_windows`); the
     returned weights are those of the epoch with the highest validation
     macro-F1 (earliest on ties).
     """
-    split = config.split_step if config.split_step is not None else dataset.train_steps
+    split = dataset.train_steps
     if model_config is None:
         model_config = ModelConfig(n_nodes=dataset.n_nodes)
-    model_config = replace(model_config, n_nodes=dataset.n_nodes,
-                           seed=config.seed, dropout_rate=config.dropout_rate)
+    if model_config.n_nodes != dataset.n_nodes:
+        raise UsageError(f"model config has {model_config.n_nodes} nodes, dataset has "
+                         f"{dataset.n_nodes}")
     t_in, horizon = model_config.t_in, model_config.horizon
 
     grad_ends, val_ends = fit_windows(dataset, t_in, horizon, split,
@@ -492,9 +478,8 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
                       "the model has nothing to separate")
     class_w = inverse_frequency_weights(dataset.labels[:, grad_ends + horizon])
 
-    params = init_params(model_config)
-    leaves = [t for _, t in named_parameters(params)]
-    opt = _Optimizer(leaves, config.learning_rate)
+    params = init_params(model_config, config.seed)
+    opt = _Optimizer([t for _, t in named_parameters(params)], config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     history = TrainHistory()
@@ -507,13 +492,10 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
         try:
             for i in range(0, len(order), config.batch_size):
                 chunk = grad_ends[order[i:i + config.batch_size]]
-                keep = dropout_masks(model_config, len(chunk), rng) \
-                    if model_config.dropout_rate > 0.0 else None
-                grads = _batch_gradients(dataset, graph, params, chunk, class_w, keep,
-                                         ablation)
-                for t, g in zip(leaves, grads):
-                    t.grad = g
-                opt.step()
+                masks = dropout_masks(model_config, config.dropout_rate, len(chunk), rng) \
+                    if config.dropout_rate > 0.0 else None
+                opt.step(_batch_gradients(dataset, graph, params, chunk, class_w, masks,
+                                          ablation))
         except DomainError as exc:
             raise TrainingDiverged(epoch, f"epoch {epoch}: {exc}") from exc
 
@@ -538,7 +520,7 @@ def train(dataset: FeatureTensor, graph: RegionGraph, config: TrainConfig,
                          epoch, config.patience)
                 break
 
-    return _restore(model_config, best_snap), history
+    return params_from_arrays(model_config, best_snap), history
 
 
 def grid_configs(base_config: TrainConfig, learning_rates: Sequence[float],
@@ -624,8 +606,8 @@ def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             graph = RegionGraph.build(nodes, k=k)
-        config = ModelConfig(n_nodes=n_nodes, channels=channels, t_in=t_in, k=k, seed=s)
-        params = init_params(config)
+        config = ModelConfig(n_nodes=n_nodes, channels=channels, t_in=t_in, k=k)
+        params = init_params(config, s)
         x = rng.normal(size=(n_nodes, config.in_channels, t_in))
         labels = rng.integers(0, 3, size=n_nodes)
 

@@ -185,14 +185,14 @@ def test_criterion_4_pipeline_fixtures():
 
 def test_criterion_5_equivariance_bitwise():
     n = 5
-    cfg = ModelConfig(n_nodes=n, channels=(6, 5), t_in=6, seed=55)
+    cfg = ModelConfig(n_nodes=n, channels=(6, 5), t_in=6)
     nodes = _random_nodes(n, seed=55)
-    params = init_params(cfg)
+    params = init_params(cfg, 55)
     x = np.random.default_rng(56).normal(size=(n, 6, 6))
     perm = np.random.default_rng(57).permutation(n)
     p = np.eye(n)[perm]
 
-    permuted = init_params(cfg)
+    permuted = init_params(cfg, 55)
     for blk_out, blk_in in zip(permuted.blocks, params.blocks):
         blk_out.p_s.data = p @ blk_in.p_s.data @ p.T
         blk_out.b_s.data = p @ blk_in.b_s.data @ p.T

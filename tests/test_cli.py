@@ -279,28 +279,31 @@ def _older_dataset(data, weights):
 
 
 def _older_json_header(path, version):
+    """Relabel a version-``version`` file as version ``version - 1``."""
     header, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(header)
     assert header.pop("version") == version
     del header["header_sha256"]
-    path.write_bytes(json.dumps({**header, "version": 1}).encode() + b"\n" + payload)
+    path.write_bytes(json.dumps({**header, "version": version - 1}).encode() + b"\n"
+                     + payload)
 
 
-# each container at a version before its current one
-@pytest.mark.parametrize("name,rewrite,command", [
-    ("dataset.bin", _older_dataset, "prepare"),
-    ("graph.bin", lambda data, weights: _older_json_header(data / "graph.bin", 2), "prepare"),
-    ("weights.bin", lambda data, weights: _older_json_header(weights, 2), "train"),
+# each container at the version before its current one
+@pytest.mark.parametrize("name,rewrite,command,older", [
+    ("dataset.bin", _older_dataset, "prepare", 1),
+    ("graph.bin", lambda data, weights: _older_json_header(data / "graph.bin", 2),
+     "prepare", 1),
+    ("weights.bin", lambda data, weights: _older_json_header(weights, 3), "train", 2),
 ], ids=["dataset.bin", "graph.bin", "weights.bin"])
 def test_older_container_version_exits_2(workspace, tmp_path, capsys, name, rewrite,
-                                         command):
+                                         command, older):
     data, weights = tmp_path / "data", tmp_path / "weights.bin"
     shutil.copytree(workspace / "data", data)
     shutil.copyfile(workspace / "run" / "weights.bin", weights)
     rewrite(data, weights)
     err = _assert_usage_error(capsys, ["evaluate", "--dataset", str(data), "--weights",
                                        str(weights), "--out", str(tmp_path / "e")])
-    assert name in err and "version-1" in err and f"`{command}`" in err
+    assert name in err and f"version-{older}" in err and f"`{command}`" in err
 
 
 def test_weights_header_digit_flip_exits_4(workspace, tmp_path, capsys):
@@ -322,16 +325,25 @@ def test_weights_header_not_json_exits_2(workspace, tmp_path, capsys):
                                  "--weights", str(weights), "--out", str(tmp_path / "e")])
 
 
-# a bool split_step passed an isinstance(int) check and scored the wrong windows
-@pytest.mark.parametrize("key,value", [("split_step", "x"), ("validation_fraction", "x"),
-                                       ("split_step", True)],
-                         ids=["split_step", "validation_fraction", "split_step_true"])
+@pytest.mark.parametrize("key,value", [("validation_fraction", "x")],
+                         ids=["validation_fraction"])
 def test_weights_header_bad_split_exits_2(workspace, tmp_path, capsys, key, value):
     header, payload = (workspace / "run" / "weights.bin").read_bytes().split(b"\n", 1)
     weights = tmp_path / "weights.bin"
     weights.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
     _assert_usage_error(capsys, ["evaluate", "--dataset", str(workspace / "data"),
                                  "--weights", str(weights), "--out", str(tmp_path / "e")])
+
+
+# each left an empty --out directory behind
+@pytest.mark.parametrize("train_steps", ["0", "999"])
+def test_prepare_train_steps_out_of_range_exits_2_and_writes_nothing(workspace, tmp_path,
+                                                                     capsys, train_steps):
+    err = _assert_usage_error(capsys, ["prepare", "--scenario", str(workspace / "scen"),
+                                       "--train-steps", train_steps,
+                                       "--out", str(tmp_path / "d")])
+    assert "train_steps" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_train_without_test_windows_exits_2_before_training(workspace, tmp_path, capsys):
@@ -377,8 +389,8 @@ def _config_with(command, section, key):
     return edit
 
 
-# the model section's n_nodes and in_channels come from the dataset, its seed and
-# dropout_rate from the train section
+# the model section's n_nodes and in_channels come from the dataset, seed and
+# dropout_rate belong to the train section, and the dataset's train_steps is the split
 @pytest.mark.parametrize("key,argv", [
     ("not_a_field", _config_with("generate", None, "not_a_field")),
     ("optimizer", _config_with("train", "train", "optimizer")),
@@ -390,9 +402,10 @@ def _config_with(command, section, key):
     ("dropout_rate", _config_with("train", "model", "dropout_rate")),
     ("chanels", _config_with("train", "model", "chanels")),
     ("n_blocks", _weights_config_with("n_blocks")),
+    ("split_step", _config_with("tune", "train", "split_step")),
 ], ids=["scenario", "train_optimizer", "train_class_weights", "train_misspelt",
         "model_in_channels", "model_n_nodes", "model_seed", "model_dropout_rate",
-        "model_misspelt", "weights_header_config"])
+        "model_misspelt", "weights_header_config", "train_split_step"])
 def test_config_unknown_key_exits_2(workspace, tmp_path, capsys, key, argv):
     err = _assert_usage_error(capsys, [*argv(workspace, tmp_path), "--out", str(tmp_path / "o")])
     assert f"takes no {key!r} key" in err
@@ -456,35 +469,26 @@ def test_config_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, 
         assert str(cfg) in err and "section 'grid'" in err, err
 
 
-# 250.0 and 0 are also outside this 96-step dataset; 50.0 is inside it, where a
-# float split used to reach the label slicing and raise TypeError
-@pytest.mark.parametrize("split_step", [250.0, 50.0, 0])
-def test_train_config_bad_split_step_exits_2(workspace, tmp_path, capsys, split_step):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({**TRAIN_CFG, "train": {**TRAIN_CFG["train"],
-                                                      "split_step": split_step}}))
-    err = _assert_usage_error(capsys, ["train", "--dataset", str(workspace / "data"),
-                                       "--config", str(cfg), "--out", str(tmp_path / "r")])
-    assert "split_step" in err
-
-
 def test_evaluate_uses_the_split_recorded_by_train(workspace, tmp_path):
+    data = tmp_path / "data"
+    assert main(["prepare", "--scenario", str(workspace / "scen"), "--train-steps", "50",
+                 "--out", str(data)]) == 0
     cfg = tmp_path / "split.json"
     cfg.write_text(json.dumps({**TRAIN_CFG, "train": {
-        **TRAIN_CFG["train"], "split_step": 50, "validation_fraction": 0.3}}))
+        **TRAIN_CFG["train"], "validation_fraction": 0.3}}))
     run = tmp_path / "run"
-    assert main(["train", "--dataset", str(workspace / "data"), "--config", str(cfg),
+    assert main(["train", "--dataset", str(data), "--config", str(cfg),
                  "--out", str(run)]) == 0
     for split in ("test", "train"):
-        assert main(["evaluate", "--dataset", str(workspace / "data"),
+        assert main(["evaluate", "--dataset", str(data),
                      "--weights", str(run / "weights.bin"), "--split", split,
                      "--out", str(tmp_path / split)]) == 0
     trained = json.loads((run / "metrics.json").read_text())
     evaluated = json.loads((tmp_path / "test" / "metrics.json").read_text())
-    # 96 steps split at 50 (not the dataset's 60), t_in 6, horizon 1: 45 windows
+    # 96 steps split at the dataset's 50, t_in 6, horizon 1: 45 windows
     assert sum(evaluated["per_class"]["support"]) == 45 * 12
     assert evaluated == trained
-    grad_ends, _ = fit_windows(load_dataset(workspace / "data" / "dataset.bin"), 6, 1, 50, 0.3)
+    grad_ends, _ = fit_windows(load_dataset(data / "dataset.bin"), 6, 1, 50, 0.3)
     report = json.loads((tmp_path / "train" / "metrics.json").read_text())
     assert sum(report["per_class"]["support"]) == len(grad_ends) * 12
 

@@ -164,7 +164,7 @@ def test_fit_windows_split_the_training_span():
 def test_predict_windows_matches_forward_per_window():
     ft = _toy_dataset(seed=3)
     graph = _toy_graph(seed=3)
-    params = init_params(_model_cfg())
+    params = init_params(_model_cfg(), 0)
     ends = np.arange(5, 59)
     scored = predict_windows(ft, graph, params, ends)
     for row in (0, 17, len(ends) - 1):
@@ -179,7 +179,7 @@ def test_predict_windows_matches_forward_per_window():
 def test_predict_windows_is_bitwise_independent_of_the_batch_size(monkeypatch):
     ft = _toy_dataset(seed=3)
     graph = _toy_graph(seed=3)
-    params = init_params(_model_cfg())
+    params = init_params(_model_cfg(), 0)
     ends = np.arange(5, 59)
     window_bytes = 8 * 5 * (8 * 6 + 5)   # 5 nodes, 8 channels x 6 steps + 5
     scored = {}
@@ -217,7 +217,7 @@ def test_adam_step_decreases_frozen_batch_loss():
     ft = _toy_dataset()
     graph = _toy_graph()
     cfg = _model_cfg()
-    params = init_params(cfg)
+    params = init_params(cfg, 0)
     xs, ys = window_batch(ft, np.arange(6, 20), cfg.t_in, cfg.horizon)
     tensors = [t for _, t in named_parameters(params)]
     opt = _Optimizer(tensors, lr=1e-6)
@@ -230,7 +230,7 @@ def test_adam_step_decreases_frozen_batch_loss():
     with Tape() as tape:
         loss = batch_loss()
     tape.backward(loss)
-    opt.step()
+    opt.step([t.grad for t in tensors])
     after = batch_loss().item()
     assert after <= before + 1e-12
 
@@ -240,13 +240,23 @@ def test_zero_learning_rate_keeps_weights_bitwise():
     graph = _toy_graph()
     cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, seed=3)
     params, _ = train(ft, graph, cfg, _model_cfg())
-    fresh = init_params(
-        ModelConfig(n_nodes=5, channels=(8,), t_in=6, k=3, horizon=1, seed=3))
+    fresh = init_params(ModelConfig(n_nodes=5, channels=(8,), t_in=6, k=3, horizon=1), 3)
     for (_, a), (_, b) in zip(named_parameters(params), named_parameters(fresh)):
         assert np.array_equal(a.data, b.data)
 
 
 # -- training ---------------------------------------------------------------------
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(UsageError, match="seed"):
+        TrainConfig(seed=-1)
+
+
+def test_train_rejects_a_model_config_for_another_node_count():
+    with pytest.raises(UsageError, match="6 nodes, dataset has 5"):
+        train(_toy_dataset(), _toy_graph(), TrainConfig(epochs=1),
+              ModelConfig(n_nodes=6, channels=(8,), t_in=6))
 
 
 def test_train_reduces_loss_on_learnable_signal():
@@ -375,22 +385,22 @@ def test_train_is_bitwise_independent_of_the_worker_count(monkeypatch, dropout):
 def test_micro_batch_gradients_match_the_whole_batch(monkeypatch, dropout):
     ft = _toy_dataset(seed=11)
     graph = _toy_graph(seed=11)
-    cfg = ModelConfig(n_nodes=5, channels=(8,), t_in=6, k=3, horizon=1,
-                      dropout_rate=dropout)
-    params = init_params(cfg)
+    cfg = ModelConfig(n_nodes=5, channels=(8,), t_in=6, k=3, horizon=1)
+    params = init_params(cfg, 0)
     chunk = np.arange(5, 13)
     class_w = np.array([0.5, 1.0, 2.0])
-    keep = dropout_masks(cfg, len(chunk), np.random.default_rng(0)) if dropout else None
+    masks = dropout_masks(cfg, dropout, len(chunk), np.random.default_rng(0)) \
+        if dropout else None
     xs, ys = window_batch(ft, chunk, cfg.t_in, cfg.horizon)
     with Tape() as tape:
-        logits, _ = forward(xs, graph, params, training=True, keep=keep)
+        logits, _ = forward(xs, graph, params, training=True, masks=masks)
         loss = cross_entropy(logits, ys, class_w)
     tape.backward(loss)
     reference = [t.grad for _, t in named_parameters(params)]
 
-    whole = training._batch_gradients(ft, graph, params, chunk, class_w, keep, "none")
+    whole = training._batch_gradients(ft, graph, params, chunk, class_w, masks, "none")
     monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 3 * _WINDOW_BYTES)
-    split = training._batch_gradients(ft, graph, params, chunk, class_w, keep, "none")
+    split = training._batch_gradients(ft, graph, params, chunk, class_w, masks, "none")
     for (name, _), ref, a, b in zip(named_parameters(params), reference, whole, split):
         assert a.tobytes() == ref.tobytes(), name   # one micro-batch: the unsplit step
         np.testing.assert_allclose(b, ref, rtol=1e-10, atol=1e-15, err_msg=name)
@@ -399,7 +409,7 @@ def test_micro_batch_gradients_match_the_whole_batch(monkeypatch, dropout):
 def test_predict_windows_is_bitwise_the_same_pooled_and_serial(monkeypatch):
     ft = _toy_dataset(seed=3)
     graph = _toy_graph(seed=3)
-    params = init_params(_model_cfg())
+    params = init_params(_model_cfg(), 0)
     ends = np.arange(5, 59)
     monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 2 * _WINDOW_BYTES)
     scored = []
@@ -466,7 +476,7 @@ def test_a_worker_error_surfaces_with_its_epoch_and_the_pool_stays_usable(monkey
     assert _blas_count() == before
 
     monkeypatch.setattr(training, "forward", forward)
-    params = init_params(_model_cfg())
+    params = init_params(_model_cfg(), 0)
     pooled = predict_windows(ft, graph, params, np.arange(5, 59))
     monkeypatch.setattr(training, "_workers", lambda: 1)
     serial = predict_windows(ft, graph, params, np.arange(5, 59))
@@ -531,7 +541,7 @@ def test_random_weights_score_near_chance_on_balanced_labels():
     # reported loosely, not asserted tightly: untrained model on ~balanced labels
     ft = _toy_dataset(seed=20)
     graph = _toy_graph(seed=20)
-    params = init_params(ModelConfig(n_nodes=5, channels=(8,), t_in=6, seed=20))
+    params = init_params(ModelConfig(n_nodes=5, channels=(8,), t_in=6), 20)
     ends, _ = make_windows(ft, 6, 1, 45)
     report, _, _ = evaluate_windows(ft, graph, params, ends)
     print(f"random-weights accuracy on ~balanced labels: {report.accuracy:.3f}")
