@@ -152,6 +152,11 @@ def _load_features(dataset_dir: str, channels: str) -> FeatureTensor:
     return physics_only(ft) if channels == "physics-only" else ft
 
 
+def _dataset_digest(dataset_dir: str) -> str:
+    """The ``header_sha256`` of a dataset's sidecar, checked by :func:`_load_features`."""
+    return _load_json(Path(dataset_dir) / "dataset.bin.json", "dataset sidecar")["header_sha256"]
+
+
 def _load_graph(dataset_dir: str, ft: FeatureTensor, k: int, ablation: str) -> RegionGraph:
     directory = Path(dataset_dir)
     nodes = load_nodes_csv(directory / "nodes.csv")
@@ -229,7 +234,8 @@ def cmd_train(args, argv) -> int:
     params, history = train(ft, graph, train_cfg, model_cfg, ablation=args.ablation)
     save_weights(params, out / "weights.bin",
                  extra={"ablation": args.ablation, "channels": args.channels,
-                        "validation_fraction": train_cfg.validation_fraction})
+                        "validation_fraction": train_cfg.validation_fraction,
+                        "dataset_header_sha256": _dataset_digest(args.dataset)})
     history.to_csv(out / "history.csv")
     report, cm, _ = evaluate_windows(ft, graph, params, test_ends, ablation=args.ablation)
     report.to_json(out / "metrics.json")
@@ -285,12 +291,14 @@ def cmd_tune(args, argv) -> int:
 
 
 # the weights header entries `train` adds for `evaluate` and `predict`
-_TRAIN_RECORD = {"ablation": "str", "channels": "str", "validation_fraction": "float"}
+_TRAIN_RECORD = {"ablation": "str", "channels": "str", "validation_fraction": "float",
+                 "dataset_header_sha256": "str"}
 
 
 def _resolve_eval(args):
     """Dataset, graph, weights, window ends and ablation of `evaluate` and
-    `predict`; the timeline splits at the dataset's ``train_steps``."""
+    `predict`; the timeline splits at the dataset's ``train_steps``. Weights
+    trained on another dataset (another sidecar digest) raise UsageError."""
     header = read_weights_header(args.weights, _TRAIN_RECORD)
     ablation, channels = header["ablation"], header["channels"]
     if ablation not in ABLATIONS or channels not in CHANNEL_VIEWS:
@@ -299,6 +307,9 @@ def _resolve_eval(args):
     params = load_weights(args.weights)
     cfg = params.config
     ft = _load_features(args.dataset, channels)
+    if header["dataset_header_sha256"] != _dataset_digest(args.dataset):
+        raise UsageError(f"{args.weights} was trained on another dataset than "
+                         f"{Path(args.dataset) / 'dataset.bin.json'}; re-run `train` on it")
     graph = _load_graph(args.dataset, ft, cfg.k, ablation)
     if cfg.n_nodes != ft.n_nodes:
         raise UsageError(f"weights expect {cfg.n_nodes} nodes, dataset has {ft.n_nodes}")

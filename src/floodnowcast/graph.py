@@ -34,14 +34,14 @@ import numpy as np
 
 from .errors import (DomainError, UsageError, check_payload, convert_rows, read_sealed,
                      write_sealed)
-from .tensor import sorted_matmul, sorted_sum
+from .tensor import _single_threaded_blas, sorted_matmul, sorted_sum
 
 __all__ = [
     "StaticFeatures",
     "UnitNode",
     "RegionGraph",
     "static_norm_stats",
-    "pairwise_static_distance",
+    "static_distance_matrix",
     "build_adjacency",
     "laplacian",
     "power_iteration_lambda_max",
@@ -117,24 +117,26 @@ def static_norm_stats(nodes: Sequence[UnitNode]) -> dict[str, tuple[float, float
     return stats
 
 
-def pairwise_static_distance(a: StaticFeatures, b: StaticFeatures,
-                             norm_stats: dict[str, tuple[float, float]]) -> float:
-    """Euclidean distance between two z-scored static feature vectors.
+def static_distance_matrix(statics: Sequence[StaticFeatures],
+                           norm_stats: dict[str, tuple[float, float]]) -> np.ndarray:
+    """Euclidean distances between z-scored static feature vectors, shape (N, N).
 
     The watershed id is categorical, so it contributes a 0/1 mismatch
     coordinate instead of a z-scored delta. Fields absent from
     ``norm_stats`` (constant over the population) are skipped.
     """
-    total = 0.0
-    av, bv = a.numeric_vector(), b.numeric_vector()
+    mat = np.array([f.numeric_vector() for f in statics])
+    s2 = np.zeros((len(statics), len(statics)))
     for j, field in enumerate(_NUMERIC_FIELDS):
         if field not in norm_stats:
             continue
         mean, std = norm_stats[field]
-        dz = (av[j] - mean) / std - (bv[j] - mean) / std
-        total += dz * dz
-    total += 0.0 if a.watershed_id == b.watershed_id else 1.0
-    return float(np.sqrt(total))
+        col = (mat[:, j] - mean) / std
+        dz = col[:, None] - col[None, :]
+        s2 += dz * dz
+    sheds = np.array([f.watershed_id for f in statics])
+    mismatch = (sheds[:, None] != sheds[None, :]).astype(float)
+    return np.sqrt(s2 + mismatch)
 
 
 def build_adjacency(nodes: Sequence[UnitNode], w_dist: float = 0.9,
@@ -162,22 +164,7 @@ def build_adjacency(nodes: Sequence[UnitNode], w_dist: float = 0.9,
     xy = np.array([[node.x, node.y] for node in nodes])
     d = np.hypot(xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1])
 
-    stats = static_norm_stats(nodes)
-    # z-score numerics, then take pairwise squared deltas plus watershed mismatch
-    zcols = []
-    for j, field in enumerate(_NUMERIC_FIELDS):
-        if field not in stats:
-            continue
-        mean, std = stats[field]
-        col = np.array([(node.static.numeric_vector()[j] - mean) / std for node in nodes])
-        zcols.append(col)
-    s2 = np.zeros((n, n))
-    for col in zcols:
-        dz = col[:, None] - col[None, :]
-        s2 += dz * dz
-    sheds = [node.static.watershed_id for node in nodes]
-    mismatch = np.array([[0.0 if a == b else 1.0 for b in sheds] for a in sheds])
-    s = np.sqrt(s2 + mismatch)
+    s = static_distance_matrix([node.static for node in nodes], static_norm_stats(nodes))
 
     off = ~np.eye(n, dtype=bool)
     _, sigma_d = _cmean_std(d[off])
@@ -265,7 +252,9 @@ def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9) -> float:
     (``||L y - theta y||``, which bounds the eigenvalue error) drops to
     ``tol * theta`` or the basis spans an invariant subspace. Every step is a
     sorted sum, so the result is bitwise invariant under node relabeling. At
-    most ``n`` steps; ending there unconverged warns.
+    most ``n`` steps; ending there unconverged warns. The loop runs with BLAS
+    on one thread: on more, each step's ``eigh`` of the small tridiagonal
+    matrix can spend milliseconds waking idle BLAS threads, for the same bits.
     """
     n = lap.shape[0]
     if n == 0:
@@ -278,21 +267,22 @@ def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9) -> float:
     basis[0] = v / nrm
     alphas: list[float] = []
     betas: list[float] = []
-    for j in range(n):
-        w = _matvec_sorted(lap, basis[j])
-        w, coef = _project_out(basis[:j + 1], w)
-        alphas.append(float(coef[j]))
-        w, _ = _project_out(basis[:j + 1], w)  # twice is enough for orthogonality
-        beta = float(np.sqrt(sorted_sum(w * w)))
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ritz, vecs = np.linalg.eigh(tri)
-        theta = float(ritz[-1])
-        # beta == 0: the basis spans an invariant subspace, theta is exact
-        if beta <= 1e-300 or abs(beta * vecs[-1, -1]) <= tol * abs(theta):
-            return theta
-        if j + 1 < n:
-            basis[j + 1] = w / beta
-            betas.append(beta)
+    with _single_threaded_blas():
+        for j in range(n):
+            w = _matvec_sorted(lap, basis[j])
+            w, coef = _project_out(basis[:j + 1], w)
+            alphas.append(float(coef[j]))
+            w, _ = _project_out(basis[:j + 1], w)  # twice is enough for orthogonality
+            beta = float(np.sqrt(sorted_sum(w * w)))
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            ritz, vecs = np.linalg.eigh(tri)
+            theta = float(ritz[-1])
+            # beta == 0: the basis spans an invariant subspace, theta is exact
+            if beta <= 1e-300 or abs(beta * vecs[-1, -1]) <= tol * abs(theta):
+                return theta
+            if j + 1 < n:
+                basis[j + 1] = w / beta
+                betas.append(beta)
     warnings.warn(f"Lanczos did not reach tol={tol} in {n} iterations")
     return theta
 

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UsageError
+from .pipeline import N_CLASSES
 
 __all__ = ["ConfusionMatrix", "MetricsReport", "confusion", "macro_metrics"]
-
-N_CLASSES = 3
 
 
 @dataclass(frozen=True)

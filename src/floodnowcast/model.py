@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (DomainError, UsageError, check_field_types, check_payload,
                      config_from, read_sealed, write_sealed)
 from .graph import RegionGraph
+from .pipeline import N_CLASSES
 from . import tensor as tc
 from .tensor import Tensor
 
@@ -62,8 +63,6 @@ __all__ = [
     "load_weights",
     "read_weights_header",
 ]
-
-N_CLASSES = 3
 
 # "attention-off" freezes both attention maps to constants (spatial scores
 # become all-ones, so the Hadamard gate is a no-op and the block reduces to a
@@ -346,7 +345,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
 # -- weight persistence ---------------------------------------------------------
 
 _WEIGHTS_FORMAT = "floodnowcast-weights"
-_WEIGHTS_VERSION = 3   # 3: `config` holds the architecture only (no seed, dropout_rate)
+_WEIGHTS_VERSION = 4   # 4: `train` records the dataset (`dataset_header_sha256`)
 
 
 def save_weights(params: ModelParams, path: str | Path,

@@ -37,6 +37,7 @@ from .graph import UnitNode
 
 __all__ = [
     "CHANNELS",
+    "N_CLASSES",
     "TimeGrid",
     "GaugeReading",
     "GaugeStation",
@@ -327,26 +328,23 @@ def aggregate_activity(stream: EventStream, tile_to_node: dict[str, str],
 # -- labels ---------------------------------------------------------------------
 
 # class thresholds on the flooded-road fraction: <1% none, 1-10% moderate, >10% severe
+N_CLASSES = 3
 NO_FLOOD_BELOW = 0.01
 SEVERE_ABOVE = 0.10
 
 
 def label_flood_class(flooded_fraction: float) -> int:
-    """Class for one flooded-road fraction: 0 none, 1 moderate, 2 severe.
-
-    Boundaries are inclusive for the moderate class:
-    fraction < 0.01 -> 0; 0.01 <= fraction <= 0.10 -> 1; fraction > 0.10 -> 2.
-    """
-    if not 0.0 <= flooded_fraction <= 1.0:
-        raise DomainError(f"flooded fraction {flooded_fraction} outside [0, 1]")
-    if flooded_fraction < NO_FLOOD_BELOW:
-        return 0
-    if flooded_fraction <= SEVERE_ABOVE:
-        return 1
-    return 2
+    """Class for one flooded-road fraction (see :func:`label_flood_classes`)."""
+    return int(label_flood_classes(flooded_fraction))
 
 
 def label_flood_classes(fractions: np.ndarray) -> np.ndarray:
+    """Class per flooded-road fraction: 0 none, 1 moderate, 2 severe.
+
+    Boundaries are inclusive for the moderate class: fraction below
+    ``NO_FLOOD_BELOW`` -> 0, up to ``SEVERE_ABOVE`` -> 1, above it -> 2. A
+    fraction outside [0, 1] raises :class:`DomainError`.
+    """
     fractions = np.asarray(fractions, dtype=float)
     if np.any(~np.isfinite(fractions)) or np.any(fractions < 0) or np.any(fractions > 1):
         raise DomainError("flooded fractions outside [0, 1]")

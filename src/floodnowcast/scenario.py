@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError, check_field_types
 from .graph import NODES_HEADER, StaticFeatures, UnitNode, build_adjacency
-from .pipeline import FeatureTensor, format_utc, label_flood_classes, parse_utc
+from .pipeline import N_CLASSES, FeatureTensor, format_utc, label_flood_classes, parse_utc
 
 __all__ = ["ScenarioConfig", "ScenarioDataset", "generate", "latent_flood_step",
            "physics_only"]
@@ -267,14 +267,13 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> ScenarioDataset:
         (nodes, node_xy, emitted, gauge_xy, thresholds, gauge_rain, elevation,
          reports, tweets, activity, jitter) = _generate_once(cfg, attempt)
         lag = cfg.report_lag_steps
-        lagged = reports[:, lag:].ravel() if lag else reports.ravel()
-        target = emitted[:, :emitted.shape[1] - lag].ravel() if lag else emitted.ravel()
+        lagged = reports[:, lag:].ravel()
+        target = emitted[:, :emitted.shape[1] - lag].ravel()
+        # a deliberately degenerate config: the gate is not applicable
         gate_off = (cfg.min_report_correlation <= 0.0
                     or cfg.storm_amplitude_mm == 0.0 or cfg.report_rate == 0.0)
         if np.std(target) == 0.0 or np.std(lagged) == 0.0:
             corr = 0.0
-            if gate_off:
-                break  # deliberately degenerate config: gate not applicable
         else:
             corr = float(np.corrcoef(lagged, target)[0, 1])
         if gate_off or corr > cfg.min_report_correlation:
@@ -291,6 +290,7 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> ScenarioDataset:
     step = 1800.0
     times = start + step * np.arange(cfg.n_timesteps)
     stamps = [format_utc(t) for t in times]
+    mids = [format_utc(t) for t in times - 900.0]   # mid-interval event times
 
     _write_csv(out_dir / "nodes.csv", NODES_HEADER, [
         [n.id, repr(n.x), repr(n.y), int(n.static.in_floodplain),
@@ -316,14 +316,13 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> ScenarioDataset:
     event_rows = []
     for i in range(cfg.n_nodes):
         for t in range(cfg.n_timesteps):
-            mid = format_utc(times[t] - 900.0)
             if reports[i, t] > 0:
-                event_rows.append(["report_311", mid,
+                event_rows.append(["report_311", mids[t],
                                    f"{node_xy[i, 0] + jitter[i, t, 0]:.2f}",
                                    f"{node_xy[i, 1] + jitter[i, t, 1]:.2f}",
                                    "", str(int(reports[i, t]))])
             if tweets[i, t] > 0:
-                event_rows.append(["tweet", mid,
+                event_rows.append(["tweet", mids[t],
                                    f"{node_xy[i, 0] - jitter[i, t, 0]:.2f}",
                                    f"{node_xy[i, 1] - jitter[i, t, 1]:.2f}",
                                    "", str(int(tweets[i, t]))])
@@ -349,7 +348,7 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> ScenarioDataset:
     meta = {"config": dataclasses.asdict(cfg), "attempt": attempt,
             "report_correlation": corr,
             "label_counts": [int(c) for c in np.bincount(
-                label_flood_classes(emitted).ravel(), minlength=3)]}
+                label_flood_classes(emitted).ravel(), minlength=N_CLASSES)]}
     with open(out_dir / "scenario_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

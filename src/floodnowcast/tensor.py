@@ -27,15 +27,18 @@ verification fixtures and small-scale inference, not training loops.
 
 Importing this module fixes glibc's malloc thresholds and arena count for
 the whole process (see ``_pin_malloc_thresholds``); it changes no value, only
-where freed arrays go.
+where freed arrays go. The process-wide OpenBLAS thread count is read and set
+here too (``_blas_threads``, ``_single_threaded_blas``).
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -87,6 +90,48 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 
+@lru_cache(maxsize=None)
+def _blas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) of the loaded OpenBLAS's thread count, or None if there is
+    no OpenBLAS in this process or it exposes no such control. The count is
+    process-wide: OpenBLAS's thread-local setter changes it for every thread."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:   # not a loaded shared library
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                set_.restype, set_.argtypes = None, (ctypes.c_int,)
+                return get, set_
+    return None
+
+
+@contextmanager
+def _single_threaded_blas() -> Iterator[None]:
+    """Run the body with OpenBLAS on one thread, then restore the previous count."""
+    control = _blas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _active_tape() -> Optional["Tape"]:
     return getattr(_state, "tape", None)
 
@@ -111,6 +156,14 @@ def sorted_sum(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     if axis is None:
         return np.sum(np.sort(a, axis=None), keepdims=keepdims)
     return np.sum(np.sort(a, axis=axis), axis=axis, keepdims=keepdims)
+
+
+def _forward_sum(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """A forward-pass sum: :func:`sorted_sum` under :func:`canonical_reductions`,
+    a plain ``np.sum`` otherwise."""
+    if _canonical():
+        return sorted_sum(a, axis, keepdims=keepdims)
+    return np.sum(a, axis=axis, keepdims=keepdims)
 
 
 class Tensor:
@@ -288,10 +341,7 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
         for i in ax:
             if not -a.ndim <= i < a.ndim:
                 raise UsageError(f"reduction axis {i} out of range for rank {a.ndim}")
-    if _canonical():
-        out = sorted_sum(a.data, axis, keepdims=keepdims)
-    else:
-        out = np.sum(a.data, axis=axis, keepdims=keepdims)
+    out = _forward_sum(a.data, axis, keepdims)
     n = a.data.size if axis is None else int(np.prod([a.data.shape[i] for i in np.atleast_1d(axis)]))
     if mean:
         out = out / n
@@ -424,10 +474,16 @@ def sigmoid(t: Tensor) -> Tensor:
     return _make(out, (t,), rule, "sigmoid", check=False)
 
 
-def _check_axis(t: Tensor, axis: int, op: str) -> int:
+def _normalised_exp(t: Tensor, axis: int, op: str
+                    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The step both softmaxes share: the axis (checked against ``t``), the
+    max-shifted input, its exp and the sum of that exp along the axis."""
     if not -t.ndim <= axis < t.ndim:
         raise UsageError(f"{op} axis {axis} out of range for rank {t.ndim}")
-    return axis % t.ndim
+    axis %= t.ndim
+    shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return axis, shifted, e, _forward_sum(e, axis, keepdims=True)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -437,13 +493,7 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     inputs up to ~1e3 in magnitude).
     """
     t = _as_tensor(t)
-    axis = _check_axis(t, axis, "softmax")
-    shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    if _canonical():
-        denom = sorted_sum(e, axis, keepdims=True)
-    else:
-        denom = np.sum(e, axis=axis, keepdims=True)
+    axis, _, e, denom = _normalised_exp(t, axis, "softmax")
     out = e / denom
 
     def rule(g):
@@ -455,13 +505,7 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     t = _as_tensor(t)
-    axis = _check_axis(t, axis, "log_softmax")
-    shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    if _canonical():
-        denom = sorted_sum(e, axis, keepdims=True)
-    else:
-        denom = np.sum(e, axis=axis, keepdims=True)
+    axis, shifted, e, denom = _normalised_exp(t, axis, "log_softmax")
     out = shifted - np.log(denom)
     sm = e / denom
 

@@ -22,18 +22,16 @@ shape, so outputs are bitwise independent of the worker count.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import os
 import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,9 +47,9 @@ from .model import (
     named_parameters,
     params_from_arrays,
 )
-from .pipeline import FeatureTensor
+from .pipeline import N_CLASSES, FeatureTensor
 from . import tensor as tc
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, _blas_threads, _single_threaded_blas
 
 __all__ = [
     "TrainConfig",
@@ -155,7 +153,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     return -picked.mean()
 
 
-def inverse_frequency_weights(labels: np.ndarray, n_classes: int = 3) -> np.ndarray:
+def inverse_frequency_weights(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
     """Weights proportional to 1/count, normalized to mean 1 over present classes.
 
     Classes absent from ``labels`` get weight 0 (they cannot appear in the
@@ -293,32 +291,6 @@ def _snapshot(params: ModelParams) -> list[np.ndarray]:
 # -- worker pool --------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _blas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) of the loaded OpenBLAS's thread count, or None if there is
-    no OpenBLAS in this process or it exposes no such control. The count is
-    process-wide: OpenBLAS's thread-local setter changes it for every thread."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:   # not a loaded shared library
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, ()
-                set_.restype, set_.argtypes = None, (ctypes.c_int,)
-                return get, set_
-    return None
-
-
 def _workers() -> int:
     """Pool threads: one per usable core, or one if BLAS threads cannot be set."""
     return 1 if _blas_threads() is None else len(os.sched_getaffinity(0))
@@ -330,21 +302,6 @@ def _executor(workers: int) -> ThreadPoolExecutor:
 
 
 _PARALLEL = threading.Lock()   # one parallel region at a time owns the BLAS setting
-
-
-@contextmanager
-def _single_threaded_blas() -> Iterator[None]:
-    control = _blas_threads()
-    if control is None:
-        yield
-        return
-    get, set_ = control
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
 
 
 def _parallel(task: Callable, items: Sequence, consume: Callable) -> None:
@@ -609,7 +566,7 @@ def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,)
         config = ModelConfig(n_nodes=n_nodes, channels=channels, t_in=t_in, k=k)
         params = init_params(config, s)
         x = rng.normal(size=(n_nodes, config.in_channels, t_in))
-        labels = rng.integers(0, 3, size=n_nodes)
+        labels = rng.integers(0, N_CLASSES, size=n_nodes)
 
         def loss_value() -> float:
             logits, _ = forward(x, graph, params, training=False)

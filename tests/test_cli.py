@@ -293,7 +293,7 @@ def _older_json_header(path, version):
     ("dataset.bin", _older_dataset, "prepare", 1),
     ("graph.bin", lambda data, weights: _older_json_header(data / "graph.bin", 2),
      "prepare", 1),
-    ("weights.bin", lambda data, weights: _older_json_header(weights, 3), "train", 2),
+    ("weights.bin", lambda data, weights: _older_json_header(weights, 4), "train", 3),
 ], ids=["dataset.bin", "graph.bin", "weights.bin"])
 def test_older_container_version_exits_2(workspace, tmp_path, capsys, name, rewrite,
                                          command, older):
@@ -491,6 +491,30 @@ def test_evaluate_uses_the_split_recorded_by_train(workspace, tmp_path):
     grad_ends, _ = fit_windows(load_dataset(data / "dataset.bin"), 6, 1, 50, 0.3)
     report = json.loads((tmp_path / "train" / "metrics.json").read_text())
     assert sum(report["per_class"]["support"]) == len(grad_ends) * 12
+
+
+# weights trained at one split, evaluated on the same scenario re-prepared at
+# another, scored windows inside the span they were fitted on and exited 0
+def test_evaluate_weights_of_another_dataset_exits_2(tmp_path, capsys):
+    scen_cfg, train_cfg = tmp_path / "scenario.json", tmp_path / "train.json"
+    scen_cfg.write_text(json.dumps({**SCENARIO_CFG, "n_timesteps": 240}))
+    train_cfg.write_text(json.dumps({**TRAIN_CFG, "train": {**TRAIN_CFG["train"],
+                                                            "epochs": 1}}))
+    assert main(["generate", "--config", str(scen_cfg), "--out", str(tmp_path / "scen")]) == 0
+    for name, train_steps in (("data", "150"), ("data200", "200")):
+        assert main(["prepare", "--scenario", str(tmp_path / "scen"), "--train-steps",
+                     train_steps, "--out", str(tmp_path / name)]) == 0
+    weights = tmp_path / "run" / "weights.bin"
+    assert main(["train", "--dataset", str(tmp_path / "data"), "--config", str(train_cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    for command in ("evaluate", "predict"):
+        assert main([command, "--dataset", str(tmp_path / "data"), "--weights", str(weights),
+                     "--out", str(tmp_path / command)]) == 0
+        err = _assert_usage_error(capsys, [command, "--dataset", str(tmp_path / "data200"),
+                                           "--weights", str(weights),
+                                           "--out", str(tmp_path / f"{command}200")])
+        assert str(weights) in err and str(tmp_path / "data200" / "dataset.bin.json") in err
+        assert not (tmp_path / f"{command}200").exists()
 
 
 def test_gradcheck_zero_seeds_exits_2(capsys):

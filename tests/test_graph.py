@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import floodnowcast.graph as graph_module
+import floodnowcast.tensor as tensor_module
 from floodnowcast.errors import UsageError
 from floodnowcast.graph import (
     RegionGraph,
@@ -14,10 +15,10 @@ from floodnowcast.graph import (
     chebyshev_basis,
     laplacian,
     load_nodes_csv,
-    pairwise_static_distance,
     power_iteration_lambda_max,
     save_adjacency_csv,
     scaled_laplacian,
+    static_distance_matrix,
     static_norm_stats,
 )
 from floodnowcast.scenario import ScenarioConfig, _make_nodes
@@ -54,7 +55,7 @@ def test_static_distance_identical_is_zero():
     nodes = _random_nodes(6, seed=1)
     stats = static_norm_stats(nodes)
     f = nodes[0].static
-    assert pairwise_static_distance(f, f, stats) == 0.0
+    assert static_distance_matrix([f, f], stats)[0, 1] == 0.0
 
 
 def test_static_distance_watershed_only_mismatch():
@@ -63,7 +64,7 @@ def test_static_distance_watershed_only_mismatch():
     # stats from a population where numerics vary so nothing is dropped
     nodes = _random_nodes(8, seed=2)
     stats = static_norm_stats(nodes)
-    assert pairwise_static_distance(a, b, stats) == 1.0
+    assert static_distance_matrix([a, b], stats)[0, 1] == 1.0
 
 
 def test_static_distance_hand_euclidean():
@@ -71,7 +72,7 @@ def test_static_distance_hand_euclidean():
     stats = {"dist_coast": (0.0, 1.0), "dist_stream": (0.0, 1.0)}
     a = _feat(dc=3.0, ds=4.0)
     b = _feat(dc=0.0, ds=0.0)
-    assert pairwise_static_distance(a, b, stats) == pytest.approx(5.0, abs=1e-12)
+    assert static_distance_matrix([a, b], stats)[0, 1] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_static_stats_drop_constant_fields():
@@ -210,6 +211,23 @@ def test_lambda_max_converges_on_a_slow_power_iteration_layout(monkeypatch):
     ref = float(np.max(np.linalg.eigvalsh(lap)))
     assert abs(lam - ref) / ref < 1e-12
     assert len(calls) <= len(nodes)
+
+
+def test_lambda_max_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    threads = [3]
+    monkeypatch.setattr(tensor_module, "_blas_threads", lambda: (
+        lambda: threads[0], lambda count: threads.__setitem__(0, count)))
+    seen = []
+    project_out = graph_module._project_out
+
+    def recording_project_out(basis, w):   # called only inside the Lanczos loop
+        seen.append(threads[0])
+        return project_out(basis, w)
+
+    monkeypatch.setattr(graph_module, "_project_out", recording_project_out)
+    power_iteration_lambda_max(laplacian(build_adjacency(_random_nodes(8, seed=3))))
+    assert seen and set(seen) == {1}
+    assert threads == [3]
 
 
 def test_scaled_spectrum_in_unit_interval():

@@ -1,8 +1,10 @@
-"""Every module-level import under ``src/floodnowcast/`` is used by its module.
+"""Every module-level import under ``src/floodnowcast/`` is used by its module,
+and every name a module exports is one it defines.
 
 No linter ships with the project, so this stands in for pyflakes' unused-import
-check with the stdlib ``ast`` module. A name counts as used when the module
-reads it anywhere (annotations included) or lists it in ``__all__``.
+and undefined-export checks with the stdlib ``ast`` module. A name counts as
+used when the module reads it anywhere (annotations included) or lists it in
+``__all__``.
 """
 
 import ast
@@ -25,13 +27,30 @@ def _imported(tree: ast.Module):
                 yield node.lineno, alias.asname or alias.name
 
 
-def _used(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _exported(tree: ast.Module) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {elt.value for elt in node.value.elts}
-    return used
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names the module binds at its top level: functions, classes, assigned
+    names and imports."""
+    names = {name for _, name in _imported(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | set(_exported(tree))
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -42,3 +61,15 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line}: {name}" for line, name in _imported(tree)
                    if name not in used and (path.stem, name) not in ALLOWED]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_every_exported_name_is_defined_once():
+    wrong = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exported, defined = _exported(tree), _defined(tree)
+        wrong += [f"{path.name}: {name} is not defined" for name in exported
+                  if name not in defined]
+        wrong += [f"{path.name}: {name} is listed {exported.count(name)} times"
+                  for name in sorted(set(exported)) if exported.count(name) > 1]
+    assert not wrong, "bad __all__ entries:\n" + "\n".join(wrong)
