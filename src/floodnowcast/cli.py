@@ -36,7 +36,7 @@ from typing import Optional
 from . import __version__
 from .errors import (DomainError, TrainingDiverged, UsageError, check_header, config_from,
                      parse_header)
-from .graph import RegionGraph, load_nodes_csv, save_adjacency_csv
+from .graph import RegionGraph, graph_digest, load_nodes_csv, save_adjacency_csv
 from .model import (
     ABLATIONS,
     ModelConfig,
@@ -152,9 +152,14 @@ def _load_features(dataset_dir: str, channels: str) -> FeatureTensor:
     return physics_only(ft) if channels == "physics-only" else ft
 
 
-def _dataset_digest(dataset_dir: str) -> str:
-    """The ``header_sha256`` of a dataset's sidecar, checked by :func:`_load_features`."""
-    return _load_json(Path(dataset_dir) / "dataset.bin.json", "dataset sidecar")["header_sha256"]
+def _dataset_digests(dataset_dir: str) -> dict:
+    """The ``header_sha256`` of a dataset's sidecar and of its ``graph.bin``
+    header, as the weights header records them; :func:`_load_features` checks
+    the sidecar."""
+    directory = Path(dataset_dir)
+    return {"dataset_header_sha256": _load_json(directory / "dataset.bin.json",
+                                                "dataset sidecar")["header_sha256"],
+            "graph_header_sha256": graph_digest(directory / "graph.bin")}
 
 
 def _load_graph(dataset_dir: str, ft: FeatureTensor, k: int, ablation: str) -> RegionGraph:
@@ -220,6 +225,7 @@ def _train_setup(args, cfg_all: dict):
 def cmd_train(args, argv) -> int:
     cfg_all = _load_json(args.config, "train config")
     train_cfg, ft, model_cfg, graph = _train_setup(args, cfg_all)
+    digests = _dataset_digests(args.dataset)
     _, test_ends = make_windows(ft, model_cfg.t_in, model_cfg.horizon, ft.train_steps)
     if len(test_ends) == 0:
         raise UsageError("no test windows after the split; nothing to score")
@@ -235,7 +241,7 @@ def cmd_train(args, argv) -> int:
     save_weights(params, out / "weights.bin",
                  extra={"ablation": args.ablation, "channels": args.channels,
                         "validation_fraction": train_cfg.validation_fraction,
-                        "dataset_header_sha256": _dataset_digest(args.dataset)})
+                        **digests})
     history.to_csv(out / "history.csv")
     report, cm, _ = evaluate_windows(ft, graph, params, test_ends, ablation=args.ablation)
     report.to_json(out / "metrics.json")
@@ -292,13 +298,14 @@ def cmd_tune(args, argv) -> int:
 
 # the weights header entries `train` adds for `evaluate` and `predict`
 _TRAIN_RECORD = {"ablation": "str", "channels": "str", "validation_fraction": "float",
-                 "dataset_header_sha256": "str"}
+                 "dataset_header_sha256": "str", "graph_header_sha256": "str"}
 
 
 def _resolve_eval(args):
     """Dataset, graph, weights, window ends and ablation of `evaluate` and
     `predict`; the timeline splits at the dataset's ``train_steps``. Weights
-    trained on another dataset (another sidecar digest) raise UsageError."""
+    trained on another dataset or graph (another sidecar or ``graph.bin``
+    digest) raise UsageError."""
     header = read_weights_header(args.weights, _TRAIN_RECORD)
     ablation, channels = header["ablation"], header["channels"]
     if ablation not in ABLATIONS or channels not in CHANNEL_VIEWS:
@@ -307,9 +314,12 @@ def _resolve_eval(args):
     params = load_weights(args.weights)
     cfg = params.config
     ft = _load_features(args.dataset, channels)
-    if header["dataset_header_sha256"] != _dataset_digest(args.dataset):
-        raise UsageError(f"{args.weights} was trained on another dataset than "
-                         f"{Path(args.dataset) / 'dataset.bin.json'}; re-run `train` on it")
+    digests = _dataset_digests(args.dataset)
+    for key, what, name in (("dataset_header_sha256", "dataset", "dataset.bin.json"),
+                            ("graph_header_sha256", "graph", "graph.bin")):
+        if header[key] != digests[key]:
+            raise UsageError(f"{args.weights} was trained on another {what} than "
+                             f"{Path(args.dataset) / name}; re-run `train` on it")
     graph = _load_graph(args.dataset, ft, cfg.k, ablation)
     if cfg.n_nodes != ft.n_nodes:
         raise UsageError(f"weights expect {cfg.n_nodes} nodes, dataset has {ft.n_nodes}")

@@ -47,6 +47,7 @@ __all__ = [
     "power_iteration_lambda_max",
     "scaled_laplacian",
     "chebyshev_basis",
+    "graph_digest",
     "load_nodes_csv",
     "save_adjacency_csv",
 ]
@@ -420,6 +421,13 @@ class RegionGraph:
         scaled = _rescale(lap, lam)
         return cls._assemble(nodes, adjacency, lap, scaled, lam,
                              chebyshev_basis(scaled, k, list(matrices[1:])))
+
+
+def graph_digest(path: str | Path) -> str:
+    """The ``header_sha256`` of a ``graph.bin``, once its header passes the
+    checks of :meth:`RegionGraph.load`."""
+    return read_sealed(path, _GRAPH_FORMAT, _GRAPH_VERSION, _GRAPH_SPEC,
+                       "prepare")[0]["header_sha256"]
 
 
 _GRAPH_FORMAT = "floodnowcast-graph"

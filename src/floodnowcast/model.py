@@ -345,7 +345,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
 # -- weight persistence ---------------------------------------------------------
 
 _WEIGHTS_FORMAT = "floodnowcast-weights"
-_WEIGHTS_VERSION = 4   # 4: `train` records the dataset (`dataset_header_sha256`)
+_WEIGHTS_VERSION = 5   # 5: `train` records the dataset's and graph's header digests
 
 
 def save_weights(params: ModelParams, path: str | Path,

@@ -34,6 +34,7 @@ here too (``_blas_threads``, ``_single_threaded_blas``).
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import os
 import threading
@@ -152,9 +153,18 @@ def canonical_reductions() -> Iterator[None]:
 
 
 def sorted_sum(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-    """Sum with terms taken in ascending order; invariant to term permutation."""
-    if axis is None:
-        return np.sum(np.sort(a, axis=None), keepdims=keepdims)
+    """Sum with terms taken in ascending order; invariant to term permutation.
+
+    ``axis`` is None (every axis), an int or a tuple of ints, as for ``np.sum``;
+    the terms of one output value are sorted together, and ``keepdims`` keeps
+    each summed axis with length 1.
+    """
+    if axis is None or isinstance(axis, tuple):
+        axes = tuple(range(a.ndim)) if axis is None else axis
+        moved = np.moveaxis(a, axes, range(a.ndim - len(axes), a.ndim))
+        terms = moved.reshape(moved.shape[:a.ndim - len(axes)] + (-1,))
+        out = np.sum(np.sort(terms, axis=-1), axis=-1)
+        return np.expand_dims(out, axes) if keepdims else out
     return np.sum(np.sort(a, axis=axis), axis=axis, keepdims=keepdims)
 
 
@@ -174,7 +184,7 @@ class Tensor:
     :meth:`Tape.backward` and holds an array of the same shape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -183,6 +193,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self._node: Optional[tuple[int, int]] = None   # (tape serial, entry index)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -191,6 +202,7 @@ class Tensor:
         t.data = arr
         t.requires_grad = requires_grad
         t.grad = None
+        t._node = None
         return t
 
     @property
@@ -308,10 +320,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _add(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # inf is caught by the finite check
         out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def rule(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None)
 
     return _make(out, (a, b), rule, "add")
 
@@ -326,11 +340,14 @@ def _neg(a: Tensor) -> Tensor:
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out = a.data * b.data
-    ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # each gradient reads the other operand: keep it only for an input that needs one
+    ad, bd = (a.data if need_b else None), (b.data if need_a else None)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def rule(g):
-        return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
-                _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
+        return (_unbroadcast(g * bd, a_shape) if need_a else None,
+                _unbroadcast(g * ad, b_shape) if need_b else None)
 
     return _make(out, (a, b), rule, "mul")
 
@@ -427,20 +444,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             out = _matmul_per_leading_index(ad, bd)
         else:
             out = np.matmul(ad, bd)
+    need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = ad.shape, bd.shape
+    ad, bd = (ad if need_b else None), (bd if need_a else None)   # as in _mul
 
     def rule(g):
         ga = gb = None
         if fold:
             g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                ga = (g2 @ bd.T).reshape(ad.shape)
-            if b.requires_grad:
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g2
+            if need_a:
+                ga = (g2 @ bd.T).reshape(a_shape)
+            if need_b:
+                gb = ad.reshape(-1, a_shape[-1]).T @ g2
             return (ga, gb)
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        if need_a:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape)
+        if need_b:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
         return (ga, gb)
 
     return _make(out, (a, b), rule, "matmul")
@@ -566,17 +586,20 @@ def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
         for w in range(width):
             out_t += xt[..., w:w + tlen, :] @ kd[w]
     out = np.swapaxes(out_t, -1, -2)
+    need_x, need_k = x.requires_grad, kernel.requires_grad
+    xt_shape = xt.shape
+    xt, kd = (xt if need_k else None), (kd if need_x else None)   # as in _mul
 
     def rule(g):
         gt = np.ascontiguousarray(np.swapaxes(np.asarray(g), -1, -2))  # (..., T, C_out)
         gx = gk = None
-        if x.requires_grad:
-            gxt = np.zeros_like(xt)
+        if need_x:
+            gxt = np.zeros(xt_shape)
             for w in range(width):
                 gxt[..., w:w + tlen, :] += gt @ kd[w].T
             gx = np.ascontiguousarray(np.swapaxes(gxt, -1, -2)[..., pad:pad + tlen])
-        if kernel.requires_grad:
-            gk = np.zeros_like(kd)
+        if need_k:
+            gk = np.zeros((width, c_in, c_out))
             g2 = gt.reshape(-1, c_out)
             for w in range(width):
                 sl = xt[..., w:w + tlen, :].reshape(-1, c_in)
@@ -587,6 +610,9 @@ def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 # -- tape -------------------------------------------------------------------
+
+
+_TAPE_SERIALS = itertools.count()
 
 
 class Tape:
@@ -603,10 +629,20 @@ class Tape:
     consumers; every requires_grad leaf receives its gradient exactly once
     per backward call (``grad`` is replaced, not accumulated across calls).
     A tape is confined to the thread that created it.
+
+    The tape holds no intermediate tensor. An entry is the output's node key
+    (its index on this tape, also kept in the output's ``_node``), the input
+    keys (an index, the requires_grad leaf itself, or None for an input that
+    needs no gradient), the backward rule and the op name. A rule keeps only
+    the arrays its own formula reads, so an array that no rule reads is freed
+    as soon as forward drops it. ``keep_inputs`` names the ops whose input
+    tensors the tape also holds, for :meth:`op_inputs`.
     """
 
-    def __init__(self):
-        self._entries: list[tuple[Tensor, tuple, Callable, str]] = []
+    def __init__(self, keep_inputs: Sequence[str] = ()):
+        self._serial = next(_TAPE_SERIALS)
+        self._entries: list[tuple[int, tuple, Callable, str]] = []
+        self._kept: dict[str, list[Tensor]] = {op: [] for op in keep_inputs}
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -617,39 +653,54 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _state.tape = None
 
+    def _key(self, t: Tensor):
+        """``t``'s index if an op on this tape made it, else ``t`` itself if it
+        is a requires_grad leaf, else None."""
+        node = t._node
+        if node is not None and node[0] == self._serial:
+            return node[1]
+        return t if t.requires_grad else None
+
     def _record(self, out: Tensor, inputs: tuple, rule: Callable, op: str) -> None:
-        self._entries.append((out, inputs, rule, op))
+        index = len(self._entries)
+        self._entries.append((index, tuple(self._key(t) for t in inputs), rule, op))
+        out._node = (self._serial, index)
+        if op in self._kept:
+            self._kept[op].extend(inputs)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def op_inputs(self, op: str) -> list[Tensor]:
-        """Input tensors of every recorded operation named ``op``."""
-        return [inp for _, inputs, _, name in self._entries if name == op
-                for inp in inputs]
+        """Input tensors of every recorded operation named ``op``; the tape
+        must have been made with ``op`` in ``keep_inputs``."""
+        if op not in self._kept:
+            raise UsageError(f"this tape keeps no {op} inputs; make it with "
+                             f"Tape(keep_inputs=[{op!r}])")
+        return list(self._kept[op])
 
     def backward(self, output: Tensor) -> None:
-        """Backpropagate from a scalar output recorded on this tape."""
+        """Backpropagate from a scalar output recorded on this tape (an output
+        that no op on it recorded gets a gradient of ones)."""
         if output.data.size != 1:
             raise UsageError("backward requires a scalar output")
-        grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-        tensors: dict[int, Tensor] = {id(output): output}
+        root = self._key(output)
+        if not isinstance(root, int):
+            output.grad = np.ones_like(output.data)
+            return
+        grads: dict = {root: np.ones_like(output.data)}   # node index or leaf -> gradient
         for out, inputs, rule, _ in reversed(self._entries):
-            g = grads.pop(id(out), None)
-            tensors.pop(id(out), None)
+            g = grads.pop(out, None)
             if g is None:
                 continue
-            for t, gt in zip(inputs, rule(g)):
-                if gt is None or not t.requires_grad:
+            for key, gt in zip(inputs, rule(g)):
+                if gt is None or key is None:
                     continue
-                key = id(t)
                 if key in grads:
                     grads[key] = grads[key] + gt
                 else:
                     grads[key] = np.asarray(gt, dtype=np.float64)
-                    tensors[key] = t
-        for key, g in grads.items():
-            t = tensors[key]
+        for t, g in grads.items():   # only leaves are left
             t.grad = np.broadcast_to(g, t.data.shape).copy() if g.shape != t.data.shape else g
 
 

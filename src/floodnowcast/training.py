@@ -572,7 +572,7 @@ def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,)
             logits, _ = forward(x, graph, params, training=False)
             return cross_entropy(logits, labels).item()
 
-        with Tape() as tape:
+        with Tape(keep_inputs=["relu"]) as tape:
             logits, _ = forward(x, graph, params, training=False)
             loss = cross_entropy(logits, labels)
         pre_acts = [np.min(np.abs(t.data)) for t in tape.op_inputs("relu")]

@@ -293,7 +293,7 @@ def _older_json_header(path, version):
     ("dataset.bin", _older_dataset, "prepare", 1),
     ("graph.bin", lambda data, weights: _older_json_header(data / "graph.bin", 2),
      "prepare", 1),
-    ("weights.bin", lambda data, weights: _older_json_header(weights, 4), "train", 3),
+    ("weights.bin", lambda data, weights: _older_json_header(weights, 5), "train", 4),
 ], ids=["dataset.bin", "graph.bin", "weights.bin"])
 def test_older_container_version_exits_2(workspace, tmp_path, capsys, name, rewrite,
                                          command, older):
@@ -515,6 +515,20 @@ def test_evaluate_weights_of_another_dataset_exits_2(tmp_path, capsys):
                                            "--out", str(tmp_path / f"{command}200")])
         assert str(weights) in err and str(tmp_path / "data200" / "dataset.bin.json") in err
         assert not (tmp_path / f"{command}200").exists()
+
+
+# weights evaluated with another graph.bin than the one they were trained with
+# (here the edgeless graph) exited 0 with the predictions of another model
+def test_evaluate_weights_of_another_graph_exits_2(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    RegionGraph.edgeless(load_nodes_csv(data / "nodes.csv")).save(data / "graph.bin")
+    weights = workspace / "run" / "weights.bin"
+    for command in ("evaluate", "predict"):
+        err = _assert_usage_error(capsys, [command, "--dataset", str(data), "--weights",
+                                           str(weights), "--out", str(tmp_path / command)])
+        assert str(weights) in err and str(data / "graph.bin") in err
+        assert not (tmp_path / command).exists()
 
 
 def test_gradcheck_zero_seeds_exits_2(capsys):

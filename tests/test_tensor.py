@@ -1,6 +1,7 @@
 import math
 import platform
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from floodnowcast.tensor import (
     sigmoid,
     softmax,
     sorted_matmul,
+    sorted_sum,
 )
 
 
@@ -258,6 +260,63 @@ def test_backward_requires_scalar():
         tape.backward(y)
 
 
+def test_backward_on_an_unrecorded_output_gives_ones():
+    leaf = Tensor([[2.0]], requires_grad=True)
+    const = Tensor(5.0)
+    with Tape() as tape:
+        leaf * 3.0
+    for t in (leaf, const):
+        tape.backward(t)
+        np.testing.assert_array_equal(t.grad, np.ones_like(t.data))
+
+
+def test_a_tensor_recorded_on_another_tape_is_a_leaf():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape():
+        y = x * 2.0
+    with Tape() as tape:
+        z = (y * y).sum()
+    tape.backward(z)
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+    assert x.grad is None
+
+
+def test_op_inputs_only_on_a_tape_that_keeps_them():
+    x = Tensor([-1.0, 2.0], requires_grad=True)
+    for keep in ([], ["relu"]):
+        with Tape(keep_inputs=keep) as tape:
+            h = x * 3.0
+            y = relu(h).sum()
+        if keep:
+            assert [t is h for t in tape.op_inputs("relu")] == [True]
+        else:
+            with pytest.raises(UsageError, match="relu"):
+                tape.op_inputs("relu")
+        tape.backward(y)
+        np.testing.assert_array_equal(x.grad, [0.0, 3.0])
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a + 1.0,
+    lambda a: a * 2.0,
+    lambda a: matmul(a, Tensor(np.ones((3, 2)))),
+    lambda a: conv1d_same(a.reshape(1, 4, 3), Tensor(np.ones((1, 4, 2)))),
+    relu,
+    sigmoid,
+    lambda a: softmax(a, axis=-1),
+], ids=["add", "mul", "matmul", "conv1d_same", "relu", "sigmoid", "softmax"])
+def test_an_input_no_gradient_reads_is_freed_before_backward(op):
+    x = Tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
+    with Tape() as tape:
+        h = x * 1.5
+        freed = weakref.ref(h.data)
+        loss = op(h).sum()
+        del h
+    assert freed() is None
+    tape.backward(loss)
+    assert x.grad.shape == x.shape
+
+
 def test_ops_raise_on_overflow_to_inf():
     big = Tensor([1e308])
     with pytest.raises(DomainError):
@@ -276,6 +335,26 @@ def test_canonical_reductions_match_fast_path():
     np.testing.assert_allclose(slow, fast, atol=1e-12)
     np.testing.assert_allclose(s_slow, softmax(Tensor(a), axis=1).data, atol=1e-13)
     np.testing.assert_allclose(sum_slow, Tensor(a).sum(axis=2).data, atol=1e-12)
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axis", [None, 0, -1, (0, 2), (2, 0)])
+def test_reductions_keep_their_shape_in_canonical_mode(axis, keepdims):
+    a = np.random.default_rng(4).normal(size=(2, 3, 4))
+    for reduce in ("sum", "mean"):
+        plain = getattr(Tensor(a), reduce)(axis=axis, keepdims=keepdims).data
+        with canonical_reductions():
+            canonical = getattr(Tensor(a), reduce)(axis=axis, keepdims=keepdims).data
+        want = getattr(np, reduce)(a, axis=axis, keepdims=keepdims)
+        assert np.shape(plain) == np.shape(canonical) == np.shape(want)
+        np.testing.assert_allclose(canonical, want, rtol=1e-12)
+
+
+def test_sorted_sum_over_a_tuple_axis_is_permutation_invariant_bitwise():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(3, 4, 5)) * 10.0 ** rng.integers(-8, 8, size=(3, 4, 5))
+    shuffled = a[:, rng.permutation(4)][:, :, rng.permutation(5)]
+    assert sorted_sum(a, axis=(1, 2)).tobytes() == sorted_sum(shuffled, axis=(2, 1)).tobytes()
 
 
 def test_canonical_matmul_is_permutation_invariant_bitwise():

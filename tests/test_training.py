@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -404,6 +405,25 @@ def test_micro_batch_gradients_match_the_whole_batch(monkeypatch, dropout):
     for (name, _), ref, a, b in zip(named_parameters(params), reference, whole, split):
         assert a.tobytes() == ref.tobytes(), name   # one micro-batch: the unsplit step
         np.testing.assert_allclose(b, ref, rtol=1e-10, atol=1e-15, err_msg=name)
+
+
+# sha256 of the float64 gradients below, in ``named_parameters`` order
+_BATCH_GRADIENTS_SHA256 = "cebf35997753d7de7688cb5b4ec655f714b646fbafd9d6a865d0d279149952c7"
+
+
+def test_batch_gradients_are_the_recorded_bytes(monkeypatch):
+    # two blocks, dropout masks, and 8 windows in micro-batches of 3, 3 and 2
+    ft = _toy_dataset(seed=12)
+    graph = _toy_graph(seed=12)
+    cfg = ModelConfig(n_nodes=5, channels=(8, 8), t_in=6, k=3, horizon=1)
+    params = init_params(cfg, 12)
+    chunk = np.arange(5, 13)
+    masks = dropout_masks(cfg, 0.3, len(chunk), np.random.default_rng(12))
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 3 * _WINDOW_BYTES)
+    grads = training._batch_gradients(ft, graph, params, chunk, np.array([0.5, 1.0, 2.0]),
+                                      masks, "none")
+    digest = hashlib.sha256(b"".join(g.astype("<f8").tobytes() for g in grads))
+    assert digest.hexdigest() == _BATCH_GRADIENTS_SHA256
 
 
 def test_predict_windows_is_bitwise_the_same_pooled_and_serial(monkeypatch):
