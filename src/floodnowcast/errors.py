@@ -59,6 +59,7 @@ _FIELD_TYPES = {
     "float": (_is_number, "a number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[int, ...]": (_sequence_of(tuple, is_int), "a list of integers"),
+    "tuple[float, ...]": (_sequence_of(tuple, _is_number), "a list of numbers"),
     "list[int]": (_sequence_of(list, is_int), "a list of integers"),
     "list[str]": (_sequence_of(list, lambda v: isinstance(v, str)), "a list of strings"),
     "list[float]": (_sequence_of(list, _is_number), "a list of numbers"),
@@ -72,7 +73,9 @@ def check_field_types(config) -> None:
         accepts, expected = _FIELD_TYPES[f.type]
         value = getattr(config, f.name)
         if not accepts(value):
-            raise UsageError(f"{f.name} must be {expected}, got {value!r}")
+            # quote a tuple field's value as the JSON list it came from
+            shown = list(value) if isinstance(value, tuple) else value
+            raise UsageError(f"{f.name} must be {expected}, got {shown!r}")
 
 
 def config_from(cls, value: dict, source, **fixed):

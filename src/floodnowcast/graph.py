@@ -315,16 +315,17 @@ def chebyshev_basis(scaled: np.ndarray, k: int,
                     stored: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
     """Chebyshev matrices ``T_0 = I, T_1 = L~, T_j = 2 L~ T_{j-1} - T_{j-2}``.
 
-    ``stored`` holds ``T_2, T_3, ...`` computed earlier from the same ``L~``
-    (read from ``graph.bin``); they are used as they are and the recurrence
-    continues from the last two terms.
+    ``T_1`` is the array ``scaled`` itself, not a copy. ``stored`` holds
+    ``T_2, T_3, ...`` computed earlier from the same ``L~`` (read from
+    ``graph.bin``); they are used as they are and the recurrence continues
+    from the last two terms.
     """
     if k < 1:
         raise UsageError(f"K must be >= 1, got {k}")
     n = scaled.shape[0]
     basis = [np.eye(n)]
     if k > 1:
-        basis.append(scaled.copy())
+        basis.append(scaled)
     basis.extend(stored[:max(0, k - 2)])
     for _ in range(len(basis), k):
         basis.append(2.0 * sorted_matmul(scaled, basis[-1]) - basis[-2])
@@ -333,11 +334,15 @@ def chebyshev_basis(scaled: np.ndarray, k: int,
 
 @dataclass(frozen=True)
 class RegionGraph:
-    """Immutable bundle of a node set and its derived spectral operators."""
+    """Immutable bundle of a node set and its derived spectral operators.
+
+    ``cheb_basis`` holds ``T_0 = I`` at index 0 and, from K = 2 on,
+    ``scaled_laplacian`` itself as ``T_1``: a K = 3 graph holds five N x N
+    arrays (adjacency, Laplacian, ``L~``, ``T_0``, ``T_2``).
+    """
 
     nodes: tuple[UnitNode, ...]
     adjacency: np.ndarray
-    degree: np.ndarray             # diagonal entries of D
     laplacian: np.ndarray
     scaled_laplacian: np.ndarray
     lambda_max: float
@@ -351,10 +356,6 @@ class RegionGraph:
     def node_ids(self) -> list[str]:
         return [n.id for n in self.nodes]
 
-    @property
-    def order(self) -> int:
-        return len(self.cheb_basis)
-
     @classmethod
     def from_adjacency(cls, nodes: Sequence[UnitNode], adjacency: np.ndarray,
                        k: int = 3) -> "RegionGraph":
@@ -366,17 +367,14 @@ class RegionGraph:
 
     @classmethod
     def _assemble(cls, nodes, adjacency, lap, scaled, lam, basis) -> "RegionGraph":
-        arrays = [adjacency, np.diag(lap).copy(), lap, scaled, *basis]
-        for arr in arrays:
+        for arr in (adjacency, lap, scaled, *basis):
             arr.setflags(write=False)
-        return cls(nodes=tuple(nodes), adjacency=adjacency, degree=arrays[1],
-                   laplacian=lap, scaled_laplacian=scaled, lambda_max=lam,
-                   cheb_basis=tuple(basis))
+        return cls(nodes=tuple(nodes), adjacency=adjacency, laplacian=lap,
+                   scaled_laplacian=scaled, lambda_max=lam, cheb_basis=tuple(basis))
 
     @classmethod
-    def build(cls, nodes: Sequence[UnitNode], k: int = 3, w_dist: float = 0.9,
-              w_feat: float = 0.1, epsilon: float = 1e-4) -> "RegionGraph":
-        return cls.from_adjacency(nodes, build_adjacency(nodes, w_dist, w_feat, epsilon), k=k)
+    def build(cls, nodes: Sequence[UnitNode], k: int = 3) -> "RegionGraph":
+        return cls.from_adjacency(nodes, build_adjacency(nodes), k=k)
 
     @classmethod
     def edgeless(cls, nodes: Sequence[UnitNode], k: int = 3) -> "RegionGraph":
@@ -390,13 +388,13 @@ class RegionGraph:
 
         The payload is the float64 LE adjacency followed by ``T_2 .. T_{K-1}``,
         the Chebyshev terms that cost matrix products; the Laplacian, the
-        scaled Laplacian, ``T_0`` and ``T_1`` are recomputed on load from the
+        scaled Laplacian (``T_1``) and ``T_0`` are recomputed on load from the
         adjacency and the recorded ``lambda_max``.
         """
         payload = b"".join(a.astype("<f8").tobytes()
                            for a in (self.adjacency, *self.cheb_basis[2:]))
         write_sealed(path, {"format": _GRAPH_FORMAT, "version": _GRAPH_VERSION,
-                            "node_ids": self.node_ids, "order": self.order,
+                            "node_ids": self.node_ids, "order": len(self.cheb_basis),
                             "lambda_max": self.lambda_max}, payload)
 
     @classmethod
@@ -415,7 +413,9 @@ class RegionGraph:
         check_payload(payload, 8 * n * n * max(1, order - 1), header, path)
         if header["node_ids"] != [node.id for node in nodes]:
             raise UsageError(f"{path} was written for other node ids; re-run `prepare`")
-        matrices = np.frombuffer(payload, dtype="<f8").reshape(-1, n, n).copy()
+        # copy only what order k uses: a dropped term would live on in the views
+        stored = np.frombuffer(payload, dtype="<f8").reshape(-1, n, n)
+        matrices = stored[:max(1, k - 1)].copy()
         adjacency, lam = matrices[0], header["lambda_max"]
         lap = laplacian(adjacency)
         scaled = _rescale(lap, lam)

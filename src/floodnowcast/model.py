@@ -236,27 +236,25 @@ def apply_temporal_attention(x: Tensor, e_norm: Tensor) -> Tensor:
     return out.reshape(b, n, c, t)
 
 
-def cheb_graph_conv(x: Tensor, cheb_basis: Sequence[np.ndarray], s_norm: Tensor,
+def cheb_graph_conv(x: Tensor, terms: Sequence[np.ndarray], s_norm: Tensor,
                     theta: Sequence[Tensor]) -> Tensor:
     """Spectral graph convolution with attention-gated Chebyshev filters.
 
     Per timestep: ``Y[:, :, t] = sum_k (T_k ⊙ S) X[:, :, t] theta_k``.
-    ``cheb_basis[0]`` must be ``T_0 = I`` (else :class:`UsageError`), so its
-    gated term is the row scaling ``diag(S) X``; it is computed as one, which
-    is exact (each output has a single nonzero product term), instead of as
-    an N x N matrix product.
+    ``terms`` are ``T_1 .. T_{K-1}``, one fewer than ``theta``: ``T_0 = I``
+    reads no matrix, since its gated term is the row scaling ``diag(S) X``.
+    That term is computed as one, which is exact (each output has a single
+    nonzero product term), instead of as an N x N matrix product.
     """
-    if not cheb_basis or len(cheb_basis) != len(theta):
-        raise UsageError(f"basis length {len(cheb_basis)} must equal theta length "
-                         f"{len(theta)} and be >= 1")
+    if len(terms) != len(theta) - 1:
+        raise UsageError(f"got {len(terms)} Chebyshev terms T_1.. and {len(theta)} "
+                         f"theta matrices; theta needs one more, for T_0")
     b, n, c, t = x.shape
-    if not np.array_equal(cheb_basis[0], np.eye(n)):
-        raise UsageError(f"cheb_basis[0] must be T_0 = I of order {n}")
     # fold time into the feature axis so each filter order is one batched matmul
     flat = x.transpose((0, 1, 3, 2)).reshape(b, n, t * c)   # (B, N, T*C)
     diag = tc.diagonal(s_norm).reshape(s_norm.shape[:-1] + (1,))  # (B or 1, N, 1)
     acc = tc.matmul((diag * flat).reshape(b, n, t, c), theta[0])  # (B, N, T, C_out)
-    for t_k, theta_k in zip(cheb_basis[1:], theta[1:]):
+    for t_k, theta_k in zip(terms, theta[1:]):
         gate = Tensor(t_k) * s_norm                      # (B or 1, N, N)
         mixed = tc.matmul(gate, flat).reshape(b, n, t, c)
         acc = acc + tc.matmul(mixed, theta_k)
@@ -325,7 +323,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
                 e_norm = temporal_attention(h, blk)
                 h = apply_temporal_attention(h, e_norm)
                 s_norm = spatial_attention(h, blk)
-            y = cheb_graph_conv(h, graph.cheb_basis[:cfg.k], s_norm, blk.theta)
+            y = cheb_graph_conv(h, graph.cheb_basis[1:cfg.k], s_norm, blk.theta)
             mask = masks[i] if training and masks is not None else None
             h = temporal_conv(y, blk.phi, mask)
         except DomainError as exc:
@@ -345,7 +343,7 @@ def forward(x, graph: RegionGraph, params: ModelParams, training: bool = False,
 # -- weight persistence ---------------------------------------------------------
 
 _WEIGHTS_FORMAT = "floodnowcast-weights"
-_WEIGHTS_VERSION = 5   # 5: `train` records the dataset's and graph's header digests
+_WEIGHTS_VERSION = 6   # 6: no `channel_order` (it was always range(in_channels))
 
 
 def save_weights(params: ModelParams, path: str | Path,
@@ -362,7 +360,6 @@ def save_weights(params: ModelParams, path: str | Path,
         "format": _WEIGHTS_FORMAT,
         "version": _WEIGHTS_VERSION,
         "config": asdict(params.config),
-        "channel_order": list(range(params.config.in_channels)),
         "params": [{"name": name, "shape": list(t.shape)} for name, t in named],
     }
     if extra:
@@ -376,7 +373,6 @@ def save_weights(params: ModelParams, path: str | Path,
 _WEIGHTS_SPEC = {
     "config": {f.name: "list[int]" if f.name == "channels" else f.type
                for f in fields(ModelConfig)},
-    "channel_order": "list[int]",
     "params": [{"name": "str", "shape": "list[int]"}],
 }
 
@@ -392,9 +388,6 @@ def load_weights(path: str | Path) -> ModelParams:
     header, payload = read_sealed(path, _WEIGHTS_FORMAT, _WEIGHTS_VERSION, _WEIGHTS_SPEC,
                                   "train")
     config = config_from(ModelConfig, header["config"], f"{path}: config")
-    if header["channel_order"] != list(range(config.in_channels)):
-        raise UsageError(f"{path} records channel_order {header['channel_order']}; "
-                         f"expected {list(range(config.in_channels))}")
     layout = param_layout(config)
     for spec, (name, shape, _) in zip(header["params"], layout):
         if (spec["name"], tuple(spec["shape"])) != (name, shape):

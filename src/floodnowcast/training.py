@@ -53,6 +53,7 @@ from .tensor import Tape, Tensor, _blas_threads, _single_threaded_blas
 
 __all__ = [
     "TrainConfig",
+    "GridConfig",
     "EpochStats",
     "TrainHistory",
     "cross_entropy",
@@ -102,6 +103,18 @@ class TrainConfig:
                              f"must be >= 0")
         if not 0.0 < self.validation_fraction < 1.0:
             raise UsageError("validation_fraction must be in (0, 1)")
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    """The values ``tune`` tries; both must be non-empty, which
+    :func:`grid_configs` checks along with each value's range."""
+
+    learning_rates: tuple[float, ...] = (1e-3, 3e-3)
+    dropout_rates: tuple[float, ...] = (0.0, 0.3)
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass(frozen=True)

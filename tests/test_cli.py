@@ -11,10 +11,10 @@ import pytest
 
 import floodnowcast.training as training
 from floodnowcast.cli import main
-from floodnowcast.errors import header_sha256
+from floodnowcast.errors import UsageError, config_from, header_sha256
 from floodnowcast.graph import RegionGraph, load_nodes_csv
 from floodnowcast.pipeline import load_dataset, parse_utc
-from floodnowcast.training import fit_windows, make_windows, window_batch
+from floodnowcast.training import GridConfig, fit_windows, make_windows, window_batch
 
 SCENARIO_CFG = {
     "n_nodes": 12, "n_timesteps": 96, "n_gauges": 4, "seed": 7,
@@ -293,7 +293,7 @@ def _older_json_header(path, version):
     ("dataset.bin", _older_dataset, "prepare", 1),
     ("graph.bin", lambda data, weights: _older_json_header(data / "graph.bin", 2),
      "prepare", 1),
-    ("weights.bin", lambda data, weights: _older_json_header(weights, 5), "train", 4),
+    ("weights.bin", lambda data, weights: _older_json_header(weights, 6), "train", 5),
 ], ids=["dataset.bin", "graph.bin", "weights.bin"])
 def test_older_container_version_exits_2(workspace, tmp_path, capsys, name, rewrite,
                                          command, older):
@@ -469,6 +469,16 @@ def test_config_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, 
         assert str(cfg) in err and "section 'grid'" in err, err
 
 
+def test_grid_section_fills_what_it_leaves_out_from_the_defaults():
+    grid = config_from(GridConfig, {"learning_rates": [1]}, "section 'grid'")
+    assert grid.learning_rates == (1,)
+    assert grid.dropout_rates == GridConfig().dropout_rates == (0.0, 0.3)
+    # a wrong value is quoted as the JSON list it was, not as the tuple it became
+    with pytest.raises(UsageError, match=r"section 'grid': learning_rates must be a list "
+                                         r"of numbers, got \['x'\]$"):
+        config_from(GridConfig, {"learning_rates": ["x"]}, "section 'grid'")
+
+
 def test_evaluate_uses_the_split_recorded_by_train(workspace, tmp_path):
     data = tmp_path / "data"
     assert main(["prepare", "--scenario", str(workspace / "scen"), "--train-steps", "50",
@@ -560,12 +570,15 @@ def test_tune_leaderboard(workspace, tmp_path):
     assert best["train"]["learning_rate"] in (1e-3, 3e-3)
 
 
-def test_train_divergence_exits_4(workspace, tmp_path):
+def test_train_divergence_exits_4(workspace, tmp_path, capsys):
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps({**TRAIN_CFG,
                                "train": {**TRAIN_CFG["train"], "learning_rate": 1e200}}))
+    capsys.readouterr()
     assert main(["train", "--dataset", str(workspace / "data"), "--config", str(cfg),
                  "--out", str(tmp_path / "d")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("epoch 0") == 1, err
 
 
 def test_gradcheck_single_seed(tmp_path):

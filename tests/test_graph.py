@@ -336,7 +336,7 @@ def test_nodes_csv_round_trip(tmp_path):
 def _assert_graphs_bitwise_equal(loaded, built):
     assert loaded.nodes == built.nodes
     assert loaded.lambda_max == built.lambda_max
-    for name in ("adjacency", "degree", "laplacian", "scaled_laplacian"):
+    for name in ("adjacency", "laplacian", "scaled_laplacian"):
         a, b = getattr(loaded, name), getattr(built, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), name
@@ -355,6 +355,29 @@ def test_loaded_graph_equals_build_bitwise(tmp_path, stored_k, k):
     RegionGraph.build(nodes, k=stored_k).save(tmp_path / "graph.bin")
     _assert_graphs_bitwise_equal(RegionGraph.load(tmp_path / "graph.bin", nodes, k=k),
                                  RegionGraph.build(nodes, k=k))
+
+
+def _distinct_bytes(graph) -> int:
+    """Bytes of the distinct buffers behind a graph's arrays (a loaded graph's
+    adjacency and stored terms are views of one buffer)."""
+    arrays = (graph.adjacency, graph.laplacian, graph.scaled_laplacian, *graph.cheb_basis)
+    owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
+              for a in arrays}
+    return sum(a.nbytes for a in owners.values())
+
+
+def test_graph_holds_t1_once_and_five_n_by_n_arrays_at_k3(tmp_path):
+    nodes = _random_nodes(20, seed=83)
+    built = RegionGraph.build(nodes, k=3)
+    built.save(tmp_path / "graph.bin")
+    loaded = RegionGraph.load(tmp_path / "graph.bin", nodes, k=3)
+    for graph in (built, loaded):
+        assert graph.cheb_basis[1] is graph.scaled_laplacian
+        assert _distinct_bytes(graph) == 5 * 20 * 20 * 8
+    # a lower order keeps no stored term it drops
+    for k in (1, 2):
+        assert _distinct_bytes(RegionGraph.load(tmp_path / "graph.bin", nodes, k=k)) == \
+            4 * 20 * 20 * 8
 
 
 def test_graph_file_stores_adjacency_and_costly_terms_only(tmp_path):

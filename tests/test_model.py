@@ -111,15 +111,23 @@ def test_cheb_conv_identity_filter():
     # K=1, all-ones gate, identity-width theta: output equals input
     n, c, t = 3, 4, 5
     x = np.random.default_rng(0).normal(size=(1, n, c, t))
-    y = cheb_graph_conv(Tensor(x), [np.eye(n)], Tensor(np.ones((1, n, n))),
-                        [Tensor(np.eye(c))])
+    y = cheb_graph_conv(Tensor(x), [], Tensor(np.ones((1, n, n))), [Tensor(np.eye(c))])
     np.testing.assert_allclose(y.data, x, atol=1e-14)
+
+
+def test_cheb_conv_without_terms_is_the_row_scaled_t0_term():
+    # K=1 reads no matrix: Y[:, :, t] = diag(S) X[:, :, t] theta_0
+    rng = np.random.default_rng(1)
+    n, c, t = 4, 3, 5
+    x, s, theta = rng.normal(size=(2, n, c, t)), rng.random((2, n, n)), rng.normal(size=(c, 2))
+    y = cheb_graph_conv(Tensor(x), [], Tensor(s), [Tensor(theta)])
+    want = np.einsum("bn,bnct,cd->bndt", np.diagonal(s, axis1=1, axis2=2), x, theta)
+    np.testing.assert_allclose(y.data, want, atol=1e-13)
 
 
 def test_cheb_conv_zero_input():
     n = 3
-    basis = [np.eye(n), np.diag(np.arange(3.0))]
-    y = cheb_graph_conv(Tensor(np.zeros((1, n, 2, 4))), basis,
+    y = cheb_graph_conv(Tensor(np.zeros((1, n, 2, 4))), [np.diag(np.arange(3.0))],
                         Tensor(np.ones((1, n, n))),
                         [Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))])
     np.testing.assert_array_equal(y.data, 0.0)
@@ -127,11 +135,11 @@ def test_cheb_conv_zero_input():
 
 def test_cheb_conv_two_node_hand_case():
     # scaled laplacian [[0,-1],[-1,0]], uniform 0.5 attention, scalar channels
-    basis = [np.eye(2), np.array([[0.0, -1.0], [-1.0, 0.0]])]
+    t_1 = np.array([[0.0, -1.0], [-1.0, 0.0]])
     s = Tensor(np.full((1, 2, 2), 0.5))
     x = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
     theta = [Tensor(np.array([[1.0]])), Tensor(np.array([[1.0]]))]
-    y = cheb_graph_conv(x, basis, s, theta)
+    y = cheb_graph_conv(x, [t_1], s, theta)
     np.testing.assert_allclose(y.data.reshape(2), [0.5, -0.5], atol=1e-15)
 
 
@@ -154,24 +162,18 @@ def test_cheb_conv_matches_dense_oracle():
     s = np.abs(rng.normal(size=(2, 5, 5)))
     s /= s.sum(axis=-1, keepdims=True)
     theta = [rng.normal(size=(6, 3)) for _ in range(3)]
-    got = cheb_graph_conv(Tensor(x), list(graph.cheb_basis), Tensor(s),
+    got = cheb_graph_conv(Tensor(x), graph.cheb_basis[1:], Tensor(s),
                           [Tensor(t) for t in theta])
     want = _dense_cheb_oracle(x, graph.cheb_basis, s, theta)
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
 def test_cheb_conv_rejects_length_mismatch():
-    with pytest.raises(UsageError):
-        cheb_graph_conv(Tensor(np.zeros((1, 2, 2, 2))), [np.eye(2)],
-                        Tensor(np.ones((1, 2, 2))),
-                        [Tensor(np.eye(2)), Tensor(np.eye(2))])
-
-
-def test_cheb_conv_rejects_a_first_term_other_than_identity():
-    x, s = Tensor(np.ones((1, 2, 1, 1))), Tensor(np.full((1, 2, 2), 0.5))
-    for first in (np.array([[0.0, -1.0], [-1.0, 0.0]]), 2.0 * np.eye(2), np.eye(3)):
-        with pytest.raises(UsageError, match="T_0 = I"):
-            cheb_graph_conv(x, [first], s, [Tensor(np.eye(1))])
+    # the terms are T_1 .. T_{K-1}: one fewer than theta
+    for n_terms, n_theta in ((0, 2), (2, 2), (1, 3), (0, 0)):
+        with pytest.raises(UsageError, match="theta needs one more"):
+            cheb_graph_conv(Tensor(np.zeros((1, 2, 2, 2))), [np.eye(2)] * n_terms,
+                            Tensor(np.ones((1, 2, 2))), [Tensor(np.eye(2))] * n_theta)
 
 
 # -- temporal convolution ----------------------------------------------------------
