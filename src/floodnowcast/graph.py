@@ -2,11 +2,12 @@
 
 Nodes are geographic units with planar centroids (meters) and a small static
 feature vector. Edge weights blend two Gaussian kernels, one over centroid
-distance and one over static-feature distance, with a fixed 0.9/0.1 split in
-favor of physical proximity. From the weighted adjacency we derive the
-combinatorial Laplacian ``L = D - A``, rescale it with its largest eigenvalue
-so the spectrum lands in [-1, 1], and precompute the Chebyshev polynomial
-matrices the spectral graph convolution consumes.
+distance and one over static-feature distance, with a constant 0.9/0.1 split
+in favor of physical proximity; weights below a constant 1e-4 are zeroed.
+From the weighted adjacency we derive the combinatorial Laplacian
+``L = D - A``, rescale it with its largest eigenvalue so the spectrum lands
+in [-1, 1], and precompute the Chebyshev polynomial matrices the spectral
+graph convolution consumes.
 
 Every reduction over the node axis (kernel bandwidth statistics, degree sums,
 the Lanczos matvecs and dot products behind ``lambda_max``, the Chebyshev
@@ -54,6 +55,8 @@ __all__ = [
 
 # numeric static fields, in the order they enter the distance vector
 _NUMERIC_FIELDS = ("in_floodplain", "residential_ratio", "dist_coast", "dist_stream")
+# Lanczos stops at this relative Ritz residual; lambda_max is inflated by as much
+LANCZOS_TOL = 1e-9
 
 
 def _cmean_std(values: np.ndarray) -> tuple[float, float]:
@@ -140,24 +143,21 @@ def static_distance_matrix(statics: Sequence[StaticFeatures],
     return np.sqrt(s2 + mismatch)
 
 
-def build_adjacency(nodes: Sequence[UnitNode], w_dist: float = 0.9,
-                    w_feat: float = 0.1, epsilon: float = 1e-4) -> np.ndarray:
+def build_adjacency(nodes: Sequence[UnitNode]) -> np.ndarray:
     """Weighted adjacency from centroid proximity and static similarity.
 
     For i != j::
 
-        A_ij = w_dist * exp(-(d_ij / sigma_d)^2) + w_feat * exp(-(s_ij / sigma_s)^2)
+        A_ij = 0.9 * exp(-(d_ij / sigma_d)^2) + 0.1 * exp(-(s_ij / sigma_s)^2)
 
     where ``d`` is centroid distance, ``s`` the static-feature distance, and
     each ``sigma`` is the population std of that quantity's off-diagonal
-    values (data-driven kernel bandwidths). Entries below ``epsilon`` are
-    zeroed to keep large graphs sparse-ish; the diagonal is zero.
+    values (data-driven kernel bandwidths). Entries below 1e-4 are zeroed to
+    keep large graphs sparse-ish; the diagonal is zero.
     """
     n = len(nodes)
     if n < 2:
         raise UsageError(f"need at least 2 nodes, got {n}")
-    if w_dist < 0 or w_feat < 0 or abs(w_dist + w_feat - 1.0) > 1e-12:
-        raise UsageError(f"weights must be nonnegative and sum to 1, got {w_dist}, {w_feat}")
     ids = [node.id for node in nodes]
     if len(set(ids)) != n:
         raise UsageError("node ids must be unique")
@@ -177,9 +177,9 @@ def build_adjacency(nodes: Sequence[UnitNode], w_dist: float = 0.9,
         warnings.warn("all pairwise static distances identical; using sigma_s = 1")
         sigma_s = 1.0
 
-    a = w_dist * np.exp(-((d / sigma_d) ** 2)) + w_feat * np.exp(-((s / sigma_s) ** 2))
+    a = 0.9 * np.exp(-((d / sigma_d) ** 2)) + 0.1 * np.exp(-((s / sigma_s) ** 2))
     np.fill_diagonal(a, 0.0)
-    a[a < epsilon] = 0.0
+    a[a < 1e-4] = 0.0
     return a
 
 
@@ -244,15 +244,15 @@ def _project_out(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w - np.sum(coef[:, None] * basis, axis=0), coef
 
 
-def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9) -> float:
+def power_iteration_lambda_max(lap: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by Lanczos iteration.
 
     Full reorthogonalisation (classical Gram-Schmidt, two passes) keeps the
     Krylov basis orthonormal; the estimate is the top Ritz value ``theta`` of
     the tridiagonal matrix. Stops when the Ritz residual ``|beta_j s_j|``
     (``||L y - theta y||``, which bounds the eigenvalue error) drops to
-    ``tol * theta`` or the basis spans an invariant subspace. Every step is a
-    sorted sum, so the result is bitwise invariant under node relabeling. At
+    ``LANCZOS_TOL * theta`` or the basis spans an invariant subspace. Every
+    step is a sorted sum, so the result is bitwise invariant under node relabeling. At
     most ``n`` steps; ending there unconverged warns. The loop runs with BLAS
     on one thread: on more, each step's ``eigh`` of the small tridiagonal
     matrix can spend milliseconds waking idle BLAS threads, for the same bits.
@@ -279,16 +279,16 @@ def power_iteration_lambda_max(lap: np.ndarray, tol: float = 1e-9) -> float:
             ritz, vecs = np.linalg.eigh(tri)
             theta = float(ritz[-1])
             # beta == 0: the basis spans an invariant subspace, theta is exact
-            if beta <= 1e-300 or abs(beta * vecs[-1, -1]) <= tol * abs(theta):
+            if beta <= 1e-300 or abs(beta * vecs[-1, -1]) <= LANCZOS_TOL * abs(theta):
                 return theta
             if j + 1 < n:
                 basis[j + 1] = w / beta
                 betas.append(beta)
-    warnings.warn(f"Lanczos did not reach tol={tol} in {n} iterations")
+    warnings.warn(f"Lanczos did not reach tol={LANCZOS_TOL} in {n} iterations")
     return theta
 
 
-def scaled_laplacian(lap: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, float]:
+def scaled_laplacian(lap: np.ndarray) -> tuple[np.ndarray, float]:
     """Rescale ``L`` to ``(2 / lambda_max) L - I`` with spectrum in [-1, 1].
 
     ``lambda_max`` comes from Lanczos iteration; the estimate is inflated by
@@ -298,12 +298,12 @@ def scaled_laplacian(lap: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, fl
     """
     if np.max(np.abs(lap - lap.T), initial=0.0) > 1e-12:
         raise UsageError("laplacian must be symmetric")
-    lam = power_iteration_lambda_max(lap, tol=tol)
+    lam = power_iteration_lambda_max(lap)
     if lam < 1e-12:
         warnings.warn("laplacian is (numerically) zero; using lambda_max = 2")
         lam = 2.0
     else:
-        lam = lam * (1.0 + tol)
+        lam = lam * (1.0 + LANCZOS_TOL)
     return _rescale(lap, lam), float(lam)
 
 
@@ -441,6 +441,12 @@ NODES_HEADER = ["id", "x", "y", "in_floodplain", "residential_ratio",
                 "watershed_id", "dist_coast", "dist_stream"]
 
 
+def _floodplain_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise UsageError(f"in_floodplain must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def load_nodes_csv(path: str | Path) -> list[UnitNode]:
     """Read the node table (`id,x,y,in_floodplain,...` header, see NODES_HEADER)."""
     with open(path, newline="") as fh:
@@ -450,7 +456,7 @@ def load_nodes_csv(path: str | Path) -> list[UnitNode]:
         nodes = convert_rows(reader, lambda row: UnitNode(
             id=row["id"], x=float(row["x"]), y=float(row["y"]),
             static=StaticFeatures(
-                in_floodplain=bool(int(row["in_floodplain"])),
+                in_floodplain=_floodplain_flag(row["in_floodplain"]),
                 residential_ratio=float(row["residential_ratio"]),
                 watershed_id=row["watershed_id"],
                 dist_coast=float(row["dist_coast"]),

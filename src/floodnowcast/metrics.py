@@ -75,16 +75,16 @@ class MetricsReport:
             fh.write("\n")
 
 
-def confusion(preds, labels, m: int = N_CLASSES) -> ConfusionMatrix:
-    """Count (true, predicted) pairs into an M x M matrix."""
+def confusion(preds, labels) -> ConfusionMatrix:
+    """Count (true, predicted) pairs into an ``N_CLASSES`` x ``N_CLASSES`` matrix."""
     preds = np.asarray(preds).ravel()
     labels = np.asarray(labels).ravel()
     if preds.shape != labels.shape:
         raise UsageError(f"preds {preds.shape} and labels {labels.shape} differ in length")
-    counts = np.zeros((m, m), dtype=np.int64)
+    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     if preds.size:
-        if preds.min() < 0 or preds.max() >= m or labels.min() < 0 or labels.max() >= m:
-            raise UsageError(f"classes must lie in [0, {m})")
+        if min(preds.min(), labels.min()) < 0 or max(preds.max(), labels.max()) >= N_CLASSES:
+            raise UsageError(f"classes must lie in [0, {N_CLASSES})")
         np.add.at(counts, (labels.astype(int), preds.astype(int)), 1)
     return ConfusionMatrix(counts=counts)
 

@@ -145,6 +145,8 @@ class GaugeStation:
     readings: list[GaugeReading] = field(default_factory=list)
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DomainError(f"gauge {self.id} has non-finite coordinates")
         if self.flood_threshold_elevation <= 0:
             raise DomainError(f"gauge {self.id}: flood threshold must be > 0")
         stamps = [r.timestamp for r in self.readings]
@@ -165,6 +167,10 @@ class EventRecord:
     x: Optional[float] = None
     y: Optional[float] = None
     tile_id: Optional[str] = None
+
+    def __post_init__(self):
+        if any(v is not None and not math.isfinite(v) for v in (self.x, self.y)):
+            raise DomainError("event has non-finite coordinates")
 
 
 @dataclass
@@ -500,10 +506,16 @@ def load_road_status(directory: Path, node_ids: Sequence[str]
     index = {nid: i for i, nid in enumerate(node_ids)}
     stamp_index = {s: i for i, s in enumerate(grid.times())}
     fractions = np.full((len(node_ids), grid.count), np.nan)
-    for nid, stamp, fraction in rows:
+    for line, (nid, stamp, fraction) in enumerate(rows, start=2):
         if nid not in index:
             raise UsageError(f"road_status references unknown node {nid!r}")
-        fractions[index[nid], stamp_index[stamp]] = fraction
+        cell = index[nid], stamp_index[stamp]
+        if not math.isnan(fractions[cell]):
+            raise UsageError(f"{path} line {line}: a second row for node {nid} at "
+                             f"{format_utc(stamp)}")
+        if not math.isfinite(fraction):
+            raise DomainError(f"{path} line {line}: flooded_fraction {fraction} is not finite")
+        fractions[cell] = fraction
     if np.any(np.isnan(fractions)):
         ni, ti = np.argwhere(np.isnan(fractions))[0]
         raise DomainError(f"road_status missing node {node_ids[ni]} at step {ti}")

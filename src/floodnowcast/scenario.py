@@ -15,8 +15,9 @@ report counts follow a Poisson law on the lagged fraction, tweet counts on
 the current fraction, and activity-tile indexes dip below their baseline
 while an area is flooded. One seed produces byte-identical files; a seed
 whose human-sensed channels carry too little signal (report/fraction
-correlation below the configured floor) is regenerated from a derived seed
-rather than silently accepted.
+correlation below a fixed floor) is regenerated from a derived seed rather
+than silently accepted. A config sets size, seed and gauge count only; the
+fixed physics are :data:`PHYSICS`, and ``scenario_meta.json`` lists both.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .errors import DomainError, UsageError, check_field_types
 from .graph import NODES_HEADER, StaticFeatures, UnitNode, build_adjacency
 from .pipeline import N_CLASSES, FeatureTensor, format_utc, label_flood_classes, parse_utc
 
-__all__ = ["ScenarioConfig", "ScenarioDataset", "generate", "latent_flood_step",
-           "physics_only"]
+__all__ = ["PHYSICS", "ScenarioConfig", "ScenarioDataset", "generate",
+           "latent_flood_step", "physics_only"]
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +52,23 @@ class ScenarioConfig:
     n_timesteps: int = 480
     seed: int = 0
     n_gauges: int = 6
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.n_nodes < 4:
+            raise UsageError(f"n_nodes must be >= 4, got {self.n_nodes}")
+        if self.n_timesteps < 26:  # two default windows (t_in 12 + horizon 1)
+            raise UsageError(f"n_timesteps must be >= 26, got {self.n_timesteps}")
+        if self.n_gauges < 2:
+            raise UsageError("need at least 2 gauges")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class _Physics:
+    """The fixed storm, flood and sensing constants of every scenario."""
+
     area_side_m: float = 30_000.0
     start_time: str = "2022-05-01T00:00:00+00:00"
 
@@ -85,21 +103,8 @@ class ScenarioConfig:
     activity_noise: float = 0.15
     min_report_correlation: float = 0.3
 
-    def __post_init__(self):
-        check_field_types(self)
-        if self.n_nodes < 4:
-            raise UsageError(f"n_nodes must be >= 4, got {self.n_nodes}")
-        if self.n_timesteps < 26:  # two default windows (t_in 12 + horizon 1)
-            raise UsageError(f"n_timesteps must be >= 26, got {self.n_timesteps}")
-        if self.n_gauges < 2:
-            raise UsageError("need at least 2 gauges")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
-        rates = (self.rain_gain, self.drainage_rate, self.spill_coefficient,
-                 self.report_rate, self.tweet_rate, self.tweet_background,
-                 self.activity_depression, self.storm_amplitude_mm)
-        if any(r < 0 for r in rates):
-            raise UsageError("rates and amplitudes must be nonnegative")
+
+PHYSICS = _Physics()
 
 
 @dataclass
@@ -125,7 +130,7 @@ def latent_flood_step(f: np.ndarray, rain: np.ndarray, adjacency: np.ndarray,
 
 
 def _make_nodes(cfg: ScenarioConfig, rng: np.random.Generator) -> list[UnitNode]:
-    side = cfg.area_side_m
+    side = PHYSICS.area_side_m
     xy = rng.uniform(0.0, side, size=(cfg.n_nodes, 2))
     # watersheds from a Voronoi partition of a few seed points
     n_sheds = max(2, cfg.n_nodes // 10)
@@ -159,14 +164,14 @@ def _draw_storms(cfg: ScenarioConfig, rng: np.random.Generator) -> list[dict]:
     stay inside the middle of the square so storms actually cross the nodes.
     """
     storms = []
-    for s in range(cfg.n_storms):
-        center = rng.uniform(0.15 * cfg.area_side_m, 0.85 * cfg.area_side_m, size=2)
+    for s in range(PHYSICS.n_storms):
+        center = rng.uniform(0.15 * PHYSICS.area_side_m, 0.85 * PHYSICS.area_side_m, size=2)
         angle = rng.uniform(0.0, 2.0 * np.pi)
-        frac = (s + rng.uniform()) / cfg.n_storms
+        frac = (s + rng.uniform()) / PHYSICS.n_storms
         storms.append({
             "center": center,
-            "velocity": cfg.storm_drift_m_per_step * np.array([np.cos(angle),
-                                                               np.sin(angle)]),
+            "velocity": PHYSICS.storm_drift_m_per_step * np.array([np.cos(angle),
+                                                                   np.sin(angle)]),
             "peak_t": (0.2 + 0.6 * frac) * cfg.n_timesteps,
             "width_t": 0.10 * cfg.n_timesteps,
         })
@@ -185,8 +190,8 @@ def _rain_field(cfg: ScenarioConfig, storms: list[dict],
         cx = storm["center"][0] + storm["velocity"][0] * (t_axis - storm["peak_t"])
         cy = storm["center"][1] + storm["velocity"][1] * (t_axis - storm["peak_t"])
         d2 = (points[:, 0:1] - cx[None, :]) ** 2 + (points[:, 1:2] - cy[None, :]) ** 2
-        rain += cfg.storm_amplitude_mm * envelope[None, :] * \
-            np.exp(-d2 / (2.0 * cfg.storm_radius_m ** 2))
+        rain += PHYSICS.storm_amplitude_mm * envelope[None, :] * \
+            np.exp(-d2 / (2.0 * PHYSICS.storm_radius_m ** 2))
     return rain
 
 
@@ -211,18 +216,18 @@ def _generate_once(cfg: ScenarioConfig, attempt: int):
     latent = np.zeros((cfg.n_nodes, cfg.n_timesteps))
     for t in range(cfg.n_timesteps - 1):
         latent[:, t + 1] = latent_flood_step(
-            latent[:, t], node_rain[:, t], adjacency, cfg.rain_gain,
-            cfg.absorption_threshold_mm, cfg.spill_coefficient, cfg.drainage_rate)
+            latent[:, t], node_rain[:, t], adjacency, PHYSICS.rain_gain,
+            PHYSICS.absorption_threshold_mm, PHYSICS.spill_coefficient, PHYSICS.drainage_rate)
     emitted = np.round(latent, 6)
 
     # gauges: the same storm field sampled at the gauge location plus noise;
     # elevation follows a leaky accumulation of local rain so the threshold
     # ratio peaks during storms
-    gauge_xy = rng.uniform(0.0, cfg.area_side_m, size=(cfg.n_gauges, 2))
+    gauge_xy = rng.uniform(0.0, PHYSICS.area_side_m, size=(cfg.n_gauges, 2))
     thresholds = np.round(rng.uniform(2.5, 5.0, size=cfg.n_gauges), 2)
     gauge_rain_true = _rain_field(cfg, storms, gauge_xy)
     gauge_rain = np.clip(
-        gauge_rain_true + rng.normal(scale=cfg.gauge_noise_mm,
+        gauge_rain_true + rng.normal(scale=PHYSICS.gauge_noise_mm,
                                      size=gauge_rain_true.shape), 0.0, None)
     elevation = np.zeros_like(gauge_rain)
     ema = np.zeros(cfg.n_gauges)
@@ -231,18 +236,18 @@ def _generate_once(cfg: ScenarioConfig, attempt: int):
         elevation[:, t] = 0.3 * thresholds + 0.085 * ema * (thresholds / 3.5)
 
     # human-sensed draws
-    lag = cfg.report_lag_steps
+    lag = PHYSICS.report_lag_steps
     report_intensity = np.zeros_like(latent)
-    report_intensity[:, lag:] = cfg.report_rate * latent[:, :cfg.n_timesteps - lag]
+    report_intensity[:, lag:] = PHYSICS.report_rate * latent[:, :cfg.n_timesteps - lag]
     reports = rng.poisson(report_intensity)
-    tweets = rng.poisson(cfg.tweet_rate * latent + cfg.tweet_background)
+    tweets = rng.poisson(PHYSICS.tweet_rate * latent + PHYSICS.tweet_background)
     n_windows = (cfg.n_timesteps + ACTIVITY_WINDOW_STEPS - 1) // ACTIVITY_WINDOW_STEPS
     activity = np.zeros((cfg.n_nodes, 2, n_windows))
     for w in range(n_windows):
         sl = latent[:, w * ACTIVITY_WINDOW_STEPS:(w + 1) * ACTIVITY_WINDOW_STEPS]
         window_mean = sl.mean(axis=1)
-        base = cfg.activity_baseline - cfg.activity_depression * window_mean
-        noise = rng.normal(scale=cfg.activity_noise, size=(cfg.n_nodes, 2))
+        base = PHYSICS.activity_baseline - PHYSICS.activity_depression * window_mean
+        noise = rng.normal(scale=PHYSICS.activity_noise, size=(cfg.n_nodes, 2))
         activity[:, :, w] = np.clip(base[:, None] + noise, 0.0, 1.0)
     activity = np.round(activity, 4)
 
@@ -255,38 +260,33 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> ScenarioDataset:
     """Write a full scenario directory; deterministic for a given config.
 
     Regenerates from a derived seed when the lagged report counts correlate
-    with the flooded fraction below ``cfg.min_report_correlation`` (the gate
-    is skipped for degenerate configs whose latent field is constant).
+    with the flooded fraction below ``PHYSICS.min_report_correlation``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     attempt = 0
-    corr = 0.0
     while True:
         (nodes, node_xy, emitted, gauge_xy, thresholds, gauge_rain, elevation,
          reports, tweets, activity, jitter) = _generate_once(cfg, attempt)
-        lag = cfg.report_lag_steps
+        lag = PHYSICS.report_lag_steps
         lagged = reports[:, lag:].ravel()
         target = emitted[:, :emitted.shape[1] - lag].ravel()
-        # a deliberately degenerate config: the gate is not applicable
-        gate_off = (cfg.min_report_correlation <= 0.0
-                    or cfg.storm_amplitude_mm == 0.0 or cfg.report_rate == 0.0)
         if np.std(target) == 0.0 or np.std(lagged) == 0.0:
             corr = 0.0
         else:
             corr = float(np.corrcoef(lagged, target)[0, 1])
-        if gate_off or corr > cfg.min_report_correlation:
+        if corr > PHYSICS.min_report_correlation:
             break
         attempt += 1
         if attempt >= 8:
             raise DomainError(
                 f"no seed variant reached report/fraction correlation "
-                f"{cfg.min_report_correlation} (last: {corr:.3f})")
+                f"{PHYSICS.min_report_correlation} (last: {corr:.3f})")
         log.warning("scenario seed %d attempt %d: report correlation %.3f too low; "
                     "regenerating", cfg.seed, attempt - 1, corr)
 
-    start = parse_utc(cfg.start_time)
+    start = parse_utc(PHYSICS.start_time)
     step = 1800.0
     times = start + step * np.arange(cfg.n_timesteps)
     stamps = [format_utc(t) for t in times]
@@ -345,8 +345,8 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> ScenarioDataset:
                [[nodes[i].id, stamps[t], f"{emitted[i, t]:.6f}"]
                 for i in range(cfg.n_nodes) for t in range(cfg.n_timesteps)])
 
-    meta = {"config": dataclasses.asdict(cfg), "attempt": attempt,
-            "report_correlation": corr,
+    meta = {"config": {**dataclasses.asdict(cfg), **dataclasses.asdict(PHYSICS)},
+            "attempt": attempt, "report_correlation": corr,
             "label_counts": [int(c) for c in np.bincount(
                 label_flood_classes(emitted).ravel(), minlength=N_CLASSES)]}
     with open(out_dir / "scenario_meta.json", "w") as fh:

@@ -283,11 +283,11 @@ class Tensor:
 
     # -- reductions ------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return _reduce(self, axis, keepdims, mean=False)
+    def sum(self, axis=None) -> "Tensor":
+        return _reduce(self, axis, mean=False)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return _reduce(self, axis, keepdims, mean=True)
+    def mean(self, axis=None) -> "Tensor":
+        return _reduce(self, axis, mean=True)
 
 
 def _as_tensor(x) -> Tensor:
@@ -352,13 +352,13 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), rule, "mul")
 
 
-def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
+def _reduce(a: Tensor, axis, mean: bool) -> Tensor:
     if axis is not None:
         ax = axis if isinstance(axis, tuple) else (axis,)
         for i in ax:
             if not -a.ndim <= i < a.ndim:
                 raise UsageError(f"reduction axis {i} out of range for rank {a.ndim}")
-    out = _forward_sum(a.data, axis, keepdims)
+    out = _forward_sum(a.data, axis, keepdims=False)
     n = a.data.size if axis is None else int(np.prod([a.data.shape[i] for i in np.atleast_1d(axis)]))
     if mean:
         out = out / n
@@ -366,7 +366,7 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
 
     def rule(g):
         gb = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             gb = np.expand_dims(gb, axis)
         gb = np.broadcast_to(gb, shape)
         return ((gb / n) if mean else (gb + 0.0),)
@@ -708,16 +708,15 @@ class Tape:
 
 
 def central_difference_error(loss: Callable[[], float], x: np.ndarray,
-                             analytic: np.ndarray, eps: float,
-                             dead_margin: float = 0.0) -> float:
+                             analytic: np.ndarray, dead_margin: float = 0.0) -> float:
     """Largest relative error of ``analytic`` against central differences.
 
-    Each coordinate of ``x`` is bumped in place by +eps and -eps around a
+    Each coordinate of ``x`` is bumped in place by +1e-5 and -1e-5 around a
     ``loss()`` call, which must read ``x``, and then put back. The error at a
     coordinate is ``|analytic - fd| / max(|analytic|, |fd|, 1e-8)``; a
     coordinate is skipped only when both values are below ``dead_margin``.
     """
-    worst = 0.0
+    worst, eps = 0.0, 1e-5
     for i in range(x.size):
         orig = x.flat[i]
         x.flat[i] = orig + eps
@@ -733,14 +732,12 @@ def central_difference_error(loss: Callable[[], float], x: np.ndarray,
     return worst
 
 
-def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Compare analytic gradients of scalar ``f`` against central differences.
 
     Returns max over coordinates of
     ``|analytic - fd| / max(|analytic|, |fd|, 1e-8)``.
     """
-    if not 0.0 < eps <= 1e-2:
-        raise UsageError(f"eps must be in (0, 1e-2], got {eps}")
     leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
     with Tape() as tape:
         y = f(leaf)
@@ -749,4 +746,4 @@ def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) 
     tape.backward(y)
     analytic = leaf.grad if leaf.grad is not None else np.zeros(leaf.shape)
     return central_difference_error(lambda: f(Tensor(leaf.data)).item(), leaf.data,
-                                    analytic, eps)
+                                    analytic)

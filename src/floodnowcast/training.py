@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, TrainingDiverged, UsageError, check_field_types
-from .graph import RegionGraph
+from .graph import RegionGraph, StaticFeatures, UnitNode
 from .metrics import ConfusionMatrix, MetricsReport, confusion, macro_metrics
 from .model import (
     ModelConfig,
@@ -166,15 +166,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     return -picked.mean()
 
 
-def inverse_frequency_weights(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
+def inverse_frequency_weights(labels: np.ndarray) -> np.ndarray:
     """Weights proportional to 1/count, normalized to mean 1 over present classes.
 
     Classes absent from ``labels`` get weight 0 (they cannot appear in the
     loss anyway). Perfectly balanced labels come out exactly uniform.
     """
-    counts = np.bincount(np.asarray(labels).ravel(), minlength=n_classes).astype(float)
+    counts = np.bincount(np.asarray(labels).ravel(), minlength=N_CLASSES).astype(float)
     present = counts > 0
-    weights = np.zeros(n_classes)
+    weights = np.zeros(N_CLASSES)
     weights[present] = 1.0 / counts[present]
     weights[present] /= weights[present].mean()
     return weights
@@ -232,11 +232,11 @@ def window_batch(dataset: FeatureTensor, ends: np.ndarray, t_in: int, horizon: i
 class _Optimizer:
     """Adam (bias-corrected) over a fixed parameter list."""
 
-    def __init__(self, params: list[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -536,35 +536,32 @@ def tune(dataset: FeatureTensor, graph: RegionGraph, base_config: TrainConfig,
 # -- gradient verification ------------------------------------------------------------
 
 
-def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,),
-                         k: int = 3, seed: int = 0, eps: float = 1e-5,
-                         kink_margin: float = 1e-3,
-                         dead_margin: float = 1e-5) -> dict[str, float]:
+def model_gradient_check(seed: int = 0) -> dict[str, float]:
     """Central-difference check of the loss gradient per parameter group.
 
-    Builds a small random model + window, compares analytic gradients of the
+    Builds a small random model (3 nodes, a 4-step window, one block of 4
+    channels, K = 3) and window, compares analytic gradients of the
     cross-entropy loss against central differences, and returns the max
     relative error per group. Two situations are excluded because a central
     difference cannot interrogate them:
 
     - ReLU's subgradient at 0 is one-sided, so fixtures with a
-      pre-activation within ``kink_margin`` of the kink are redrawn (a 1e-5
+      pre-activation within 1e-3 of the kink are redrawn (a 1e-5
       parameter bump cannot move a pre-activation across a 1e-3 margin, so
       screened fixtures stay smooth);
     - coordinates where analytic and finite-difference values are *both*
-      below ``dead_margin`` are skipped: float64 round-off of the loss
+      below 1e-5 are skipped: float64 round-off of the loss
       leaves ~1e-10 of noise in the difference quotient, so near-zero
       quotients carry no information (temporal-attention biases always have
       a few such dead coordinates). A real bug still surfaces, since it
       makes one side large.
     """
-    from .graph import StaticFeatures, UnitNode  # deferred: test-fixture helpers
-
+    config = ModelConfig(n_nodes=3, channels=(4,), t_in=4, k=3)
     for attempt in range(50):
         s = seed + 100_000 * attempt
         rng = np.random.default_rng(s)
         nodes = []
-        for i in range(n_nodes):
+        for i in range(config.n_nodes):
             nodes.append(UnitNode(
                 id=f"n{i}", x=float(rng.uniform(0, 1000)), y=float(rng.uniform(0, 1000)),
                 static=StaticFeatures(
@@ -575,11 +572,10 @@ def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,)
                     dist_stream=float(rng.uniform(0, 2000)))))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            graph = RegionGraph.build(nodes, k=k)
-        config = ModelConfig(n_nodes=n_nodes, channels=channels, t_in=t_in, k=k)
+            graph = RegionGraph.build(nodes, k=config.k)
         params = init_params(config, s)
-        x = rng.normal(size=(n_nodes, config.in_channels, t_in))
-        labels = rng.integers(0, N_CLASSES, size=n_nodes)
+        x = rng.normal(size=(config.n_nodes, config.in_channels, config.t_in))
+        labels = rng.integers(0, N_CLASSES, size=config.n_nodes)
 
         def loss_value() -> float:
             logits, _ = forward(x, graph, params, training=False)
@@ -589,7 +585,7 @@ def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,)
             logits, _ = forward(x, graph, params, training=False)
             loss = cross_entropy(logits, labels)
         pre_acts = [np.min(np.abs(t.data)) for t in tape.op_inputs("relu")]
-        if pre_acts and min(pre_acts) <= kink_margin:
+        if pre_acts and min(pre_acts) <= 1e-3:
             continue
         tape.backward(loss)
         break
@@ -600,5 +596,5 @@ def model_gradient_check(n_nodes: int = 3, t_in: int = 4, channels: tuple = (4,)
     for name, t in named_parameters(params):
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         errors[name] = tc.central_difference_error(loss_value, t.data, analytic,
-                                                   eps, dead_margin)
+                                                   dead_margin=1e-5)
     return errors

@@ -80,8 +80,7 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     worst_group = ""
     for seed in range(5):
-        errors = model_gradient_check(n_nodes=3, t_in=4, channels=(4,), k=3,
-                                      seed=seed, eps=1e-5)
+        errors = model_gradient_check(seed=seed)
         group = max(errors, key=errors.get)
         if errors[group] > worst:
             worst, worst_group = errors[group], group

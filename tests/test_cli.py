@@ -390,7 +390,8 @@ def _config_with(command, section, key):
 
 
 # the model section's n_nodes and in_channels come from the dataset, seed and
-# dropout_rate belong to the train section, and the dataset's train_steps is the split
+# dropout_rate belong to the train section, the dataset's train_steps is the split,
+# and a scenario's physics are fixed
 @pytest.mark.parametrize("key,argv", [
     ("not_a_field", _config_with("generate", None, "not_a_field")),
     ("optimizer", _config_with("train", "train", "optimizer")),
@@ -403,9 +404,10 @@ def _config_with(command, section, key):
     ("chanels", _config_with("train", "model", "chanels")),
     ("n_blocks", _weights_config_with("n_blocks")),
     ("split_step", _config_with("tune", "train", "split_step")),
+    ("rain_gain", _config_with("generate", None, "rain_gain")),
 ], ids=["scenario", "train_optimizer", "train_class_weights", "train_misspelt",
         "model_in_channels", "model_n_nodes", "model_seed", "model_dropout_rate",
-        "model_misspelt", "weights_header_config", "train_split_step"])
+        "model_misspelt", "weights_header_config", "train_split_step", "scenario_physics"])
 def test_config_unknown_key_exits_2(workspace, tmp_path, capsys, key, argv):
     err = _assert_usage_error(capsys, [*argv(workspace, tmp_path), "--out", str(tmp_path / "o")])
     assert f"takes no {key!r} key" in err
@@ -608,17 +610,27 @@ def _set(column, value):
     return lambda row: row[:column] + [value] + row[column + 1:]
 
 
-# each ended in a ValueError, TypeError or KeyError traceback (exit 1); a row's own
-# DomainError (a non-finite coordinate) keeps exit 4 and gains the line
+# the first four and the last ended in a ValueError, TypeError or KeyError traceback
+# (exit 1); a row's own DomainError (a non-finite coordinate or fraction) keeps exit 4
+# and gains the line. A non-finite event or gauge coordinate and an in_floodplain of 7
+# were accepted (exit 0), and a nan fraction was reported as a missing row
 @pytest.mark.parametrize("command,name,edit,code", [
     ("prepare", "nodes.csv", _set(1, "abc"), 2),
     ("prepare", "gauge_readings.csv", _set(2, "n/a"), 2),
     ("prepare", "events.csv", lambda row: row[:2], 2),
     ("prepare", "tiles.csv", lambda row: row[:1], 2),
     ("prepare", "nodes.csv", _set(1, "nan"), 4),
+    ("prepare", "events.csv", _set(2, "nan"), 4),
+    ("prepare", "events.csv", _set(2, "inf"), 4),
+    ("prepare", "events.csv", _set(3, "-inf"), 4),
+    ("prepare", "gauges.csv", _set(1, "inf"), 4),
+    ("prepare", "gauges.csv", _set(2, "nan"), 4),
+    ("prepare", "nodes.csv", _set(3, "7"), 2),
+    ("prepare", "road_status.csv", _set(2, "nan"), 4),
     ("evaluate", "nodes.csv", _set(2, "abc"), 2),
 ], ids=["nodes_x", "rain_increment", "short_event_row", "short_tile_row", "nodes_x_nan",
-        "evaluate_nodes_y"])
+        "event_x_nan", "event_x_inf", "event_y_minus_inf", "gauge_x_inf", "gauge_y_nan",
+        "nodes_in_floodplain_7", "road_status_fraction_nan", "evaluate_nodes_y"])
 def test_scenario_csv_row_that_does_not_convert_exits_with_its_line(
         workspace, tmp_path, capsys, command, name, edit, code):
     if command == "prepare":
@@ -633,6 +645,19 @@ def test_scenario_csv_row_that_does_not_convert_exits_with_its_line(
     assert main([*argv, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert f"{name} line 2: " in err and "Traceback" not in err
+
+
+def test_road_status_row_repeating_a_node_and_time_exits_2(workspace, tmp_path, capsys):
+    # the repeated row overwrote the first one (here "none" became "severe"), exit 0
+    shutil.copytree(workspace / "scen", tmp_path / "scen")
+    path = tmp_path / "scen" / "road_status.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerow(rows[1][:2] + ["0.500000"])
+    err = _assert_usage_error(capsys, ["prepare", "--scenario", str(tmp_path / "scen"),
+                                       "--out", str(tmp_path / "o")])
+    assert f"road_status.csv line {len(rows) + 1}: a second row for node {rows[1][0]}" in err
 
 
 def _respace_road_status(path, seconds, offset):

@@ -123,20 +123,6 @@ def test_adjacency_rejects_small_or_bad_weights():
     nodes = _random_nodes(5, seed=3)
     with pytest.raises(UsageError):
         build_adjacency(nodes[:1])
-    with pytest.raises(UsageError):
-        build_adjacency(nodes, w_dist=0.8, w_feat=0.1)
-
-
-def test_adjacency_feature_weight_keeps_argmax_when_features_identical():
-    base = [UnitNode(id=f"n{i}", x=float(i * i), y=0.0, static=_feat()) for i in range(5)]
-    mats = []
-    for w_feat in (0.0, 0.1, 0.4):
-        with pytest.warns(UserWarning):
-            mats.append(build_adjacency(base, w_dist=1.0 - w_feat, w_feat=w_feat, epsilon=0.0))
-    ref = mats[0] + np.eye(5) * -1  # keep diagonal out of argmax
-    for m in mats[1:]:
-        got = m + np.eye(5) * -1
-        assert np.array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))
 
 
 # -- laplacian ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every module-level import under ``src/floodnowcast/`` is used by its module,
-every name a module exports is one it defines, and every private module-level
-name (one leading underscore) is read by some module.
+every name a module exports is one it defines, every private module-level
+name (one leading underscore) is read by some module, and every parameter
+default is overridden by some call under ``src/`` (else it is a constant).
 
 No linter ships with the project, so this stands in for pyflakes' unused-import
 and undefined-export checks with the stdlib ``ast`` module. A name counts as
@@ -13,9 +14,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "floodnowcast"
 
-# The benchmark's tracer (perfbench/tracing.py) wraps these where `cli` binds them,
-# so they stay importable there although `cli` itself no longer calls them.
-ALLOWED = {("cli", "forward"), ("cli", "window_batch")}
+# The benchmark's tracer (perfbench/tracing.py) wraps `forward` and `window_batch`
+# where `cli` binds them, so they stay importable there although `cli` itself no
+# longer calls them; the console script calls `main()` with no argument.
+ALLOWED = {("cli", "forward"), ("cli", "window_batch"), ("cli", "main", "argv")}
 
 
 def _imported(tree: ast.Module):
@@ -106,3 +108,57 @@ def test_no_private_name_is_left_unused():
               if private.startswith("_") and not private.startswith("__")
               and private not in read]
     assert not unused, "private names no module reads:\n" + "\n".join(unused)
+
+
+def _calls(trees) -> dict[str, list[ast.Call]]:
+    """Every call under ``src/``, by the name it calls (``f(...)`` and ``x.f(...)``)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaults(tree: ast.Module):
+    """``(name, parameter, positional index or None)`` of every parameter with a
+    default, for each function and method of the module; a method's index
+    leaves out ``self``/``cls``, and ``__init__`` goes by its class's name."""
+    owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+              for f in c.body if isinstance(f, ast.FunctionDef)}
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        owner = owners.get(id(func))
+        name = owner.name if owner and func.name == "__init__" else func.name
+        positional = func.args.posonlyargs + func.args.args
+        skip = 1 if owner else 0
+        first = len(positional) - len(func.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, i - skip
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, index) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, by position, or through
+    ``*``/``**``, which count as passing everything."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_is_passed_by_some_caller():
+    trees = _modules()
+    calls = _calls(trees.values())
+    unpassed = [f"{path.name}: {name}({param}=...)" for path, tree in trees.items()
+                for name, param, index in _defaults(tree)
+                if (path.stem, name, param) not in ALLOWED
+                and not any(_passes(c, param, index) for c in calls.get(name, []))]
+    assert not unpassed, ("defaults no call under src/ passes; make them constants:\n"
+                          + "\n".join(unpassed))

@@ -539,7 +539,7 @@ def test_tune_rejects_empty_grid():
 
 
 def test_model_gradient_check_all_groups_small():
-    errors = model_gradient_check(n_nodes=3, t_in=4, channels=(4,), seed=0)
+    errors = model_gradient_check(seed=0)
     worst = max(errors.values())
     assert worst < 1e-4, f"worst group: {max(errors, key=errors.get)} = {worst}"
 
@@ -551,7 +551,7 @@ def test_gradient_checkers_catch_a_wrong_backward_rule(monkeypatch):
                             "relu", check=False)
 
     monkeypatch.setattr(tensor, "relu", doubled_relu)
-    errors = model_gradient_check(n_nodes=3, t_in=4, channels=(4,), seed=0)
+    errors = model_gradient_check(seed=0)
     assert max(errors.values()) > 1e-2
     x = Tensor(np.random.default_rng(0).normal(size=16))
     assert tensor.gradient_check(lambda t: tensor.relu(t + 0.05).sum(), x) > 1e-2
