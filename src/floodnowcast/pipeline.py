@@ -12,10 +12,13 @@ labels per (node, timestep). Channel order is fixed and part of the contract:
     4 tweets       flood-related tweet counts per node per interval
     5 activity     normalized human-activity index in [0, 1]
 
-Gauge channels blend the two nearest gauges per node with inverse-distance
-weights. Count channels use half-open intervals ``(t - 30min, t]``. Channels
-are z-scored with statistics fit on the training span only; the stats ride
-along with the tensor so a checkpoint can be applied to new data.
+Each scenario CSV is converted row by row into numpy columns (the
+``*_DTYPE`` record arrays); a row that fails its checks names its file and
+line. Every channel is then computed over whole arrays. Gauge channels blend
+the two nearest gauges per node with inverse-distance weights. Count
+channels use half-open intervals ``(t - 30min, t]``. Channels are z-scored
+with statistics fit on the training span only; the stats ride along with the
+tensor so a checkpoint can be applied to new data.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,22 +41,19 @@ from .graph import UnitNode
 __all__ = [
     "CHANNELS",
     "N_CLASSES",
+    "GAUGE_DTYPE",
+    "READING_DTYPE",
+    "EVENT_DTYPE",
     "TimeGrid",
-    "GaugeReading",
-    "GaugeStation",
-    "EventRecord",
-    "EventStream",
     "FeatureTensor",
     "parse_utc",
     "format_utc",
     "nearest_two_gauges",
     "resample_series",
+    "gauge_channels",
     "accumulate_rainfall",
-    "water_ratio",
-    "blend_gauge_channel",
     "aggregate_point_events",
     "aggregate_activity",
-    "label_flood_class",
     "label_flood_classes",
     "assemble",
     "build_feature_tensor",
@@ -69,6 +69,13 @@ RAIN_SHORT_STEPS = 4    # 2 hours of 30-minute steps
 RAIN_LONG_STEPS = 48    # 24 hours
 
 EVENT_KINDS = ("report_311", "tweet", "activity_tile")
+
+# one record per CSV row; `gauge` indexes the id-sorted gauges, and an event
+# without a location has x = y = nan
+GAUGE_DTYPE = [("id", "O"), ("x", "f8"), ("y", "f8"), ("threshold", "f8")]
+READING_DTYPE = [("gauge", "i8"), ("t", "f8"), ("rain", "f8"), ("elevation", "f8")]
+EVENT_DTYPE = [("kind", "O"), ("t", "f8"), ("x", "f8"), ("y", "f8"), ("tile", "O"),
+               ("value", "f8")]
 
 
 def parse_utc(stamp: str) -> float:
@@ -105,11 +112,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.start + self.step_seconds * np.arange(self.count)
 
-    def index_of(self, epoch: float) -> Optional[int]:
-        """Interval index for a timestamp, or None if outside the grid."""
-        idx = math.ceil((epoch - self.start) / self.step_seconds)
-        return idx if 0 <= idx < self.count else None
-
     @classmethod
     def from_timestamps(cls, stamps: Sequence[float], source) -> "TimeGrid":
         """The grid whose times are exactly the distinct ``stamps``, whole
@@ -127,203 +129,143 @@ class TimeGrid:
         return grid
 
 
-@dataclass(frozen=True)
-class GaugeReading:
-    timestamp: float
-    rain_increment_mm: float
-    water_elevation_m: float
-
-
-@dataclass
-class GaugeStation:
-    """A gauge with its location, flooding threshold, and raw readings."""
-
-    id: str
-    x: float
-    y: float
-    flood_threshold_elevation: float
-    readings: list[GaugeReading] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError(f"gauge {self.id} has non-finite coordinates")
-        if self.flood_threshold_elevation <= 0:
-            raise DomainError(f"gauge {self.id}: flood threshold must be > 0")
-        stamps = [r.timestamp for r in self.readings]
-        if any(b <= a for a, b in zip(stamps, stamps[1:])):
-            raise UsageError(f"gauge {self.id}: timestamps must be strictly increasing")
-
-    def series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = np.array([r.timestamp for r in self.readings])
-        rain = np.array([r.rain_increment_mm for r in self.readings])
-        elev = np.array([r.water_elevation_m for r in self.readings])
-        return t, rain, elev
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    timestamp: float
-    value: float = 1.0
-    x: Optional[float] = None
-    y: Optional[float] = None
-    tile_id: Optional[str] = None
-
-    def __post_init__(self):
-        if any(v is not None and not math.isfinite(v) for v in (self.x, self.y)):
-            raise DomainError("event has non-finite coordinates")
-
-
-@dataclass
-class EventStream:
-    """Timestamped point or tile events of one kind."""
-
-    kind: str
-    records: list[EventRecord] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise UsageError(f"unknown event kind {self.kind!r}")
-        for rec in self.records:
-            if rec.value < 0:
-                raise DomainError(f"{self.kind} event value {rec.value} < 0")
-            if self.kind == "activity_tile" and not 0.0 <= rec.value <= 1.0:
-                raise DomainError(f"activity index {rec.value} outside [0, 1]")
-
-
 # -- gauge channels -----------------------------------------------------------
 
 
-def nearest_two_gauges(centroid: tuple[float, float], gauges: Sequence[GaugeStation]
-                       ) -> tuple[tuple[GaugeStation, float], tuple[GaugeStation, float]]:
-    """Two closest gauges with inverse-distance weights summing to 1.
+def nearest_two_gauges(node_xy: np.ndarray, gauge_xy: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the indices of the two closest gauges and their inverse-distance
+    weights, summing to 1 (both ``(N, 2)``).
 
-    Ties in distance break by gauge id ascending. A centroid sitting exactly
-    on a gauge gives that gauge weight 1.
+    Gauges come in id order, so a stable sort breaks ties in distance by gauge
+    id ascending. A node sitting exactly on a gauge gives that gauge weight 1.
+    Distances use ``math.hypot``: ``np.hypot`` differs from it in the last bit.
     """
-    if len(gauges) < 2:
-        raise UsageError(f"need at least 2 gauges, got {len(gauges)}")
-    cx, cy = centroid
-    ranked = sorted(gauges, key=lambda g: (math.hypot(g.x - cx, g.y - cy), g.id))
-    g1, g2 = ranked[0], ranked[1]
-    d1 = math.hypot(g1.x - cx, g1.y - cy)
-    d2 = math.hypot(g2.x - cx, g2.y - cy)
-    if d1 == 0.0:
-        return (g1, 1.0), (g2, 0.0)
-    inv1, inv2 = 1.0 / d1, 1.0 / d2
-    return (g1, inv1 / (inv1 + inv2)), (g2, inv2 / (inv1 + inv2))
+    if len(gauge_xy) < 2:
+        raise UsageError(f"need at least 2 gauges, got {len(gauge_xy)}")
+    dist = np.array([[math.hypot(gx - nx, gy - ny) for gx, gy in gauge_xy.tolist()]
+                     for nx, ny in node_xy.tolist()])
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :2]
+    d = np.take_along_axis(dist, nearest, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        weights = inv / (inv[:, :1] + inv[:, 1:])
+    weights[d[:, 0] == 0.0] = (1.0, 0.0)
+    return nearest, weights
 
 
 def resample_series(timestamps: np.ndarray, values: np.ndarray,
                     grid_times: np.ndarray) -> np.ndarray:
     """Linear interpolation onto grid timestamps, constant beyond the ends."""
     timestamps = np.asarray(timestamps, dtype=float)
-    values = np.asarray(values, dtype=float)
     if timestamps.size < 2:
         raise UsageError(f"need at least 2 readings, got {timestamps.size}")
     if np.any(np.diff(timestamps) <= 0):
         raise UsageError("readings must be sorted by strictly increasing timestamp")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("readings contain non-finite values")
-    return np.interp(np.asarray(grid_times, dtype=float), timestamps, values)
+    return np.interp(np.asarray(grid_times, dtype=float), timestamps,
+                     np.asarray(values, dtype=float))
+
+
+def gauge_channels(gauges: np.ndarray, readings: np.ndarray, node_xy: np.ndarray,
+                   grid_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rain increments and threshold-relative water levels per node on the grid
+    (both ``(N, T)``), each blended from the node's two nearest gauges.
+
+    ``gauges`` (:data:`GAUGE_DTYPE`) are in id order and ``readings``
+    (:data:`READING_DTYPE`) sorted by gauge, then time, as :func:`load_gauges`
+    returns them.
+    """
+    nearest, w = nearest_two_gauges(node_xy, np.column_stack((gauges["x"], gauges["y"])))
+    bounds = np.searchsorted(readings["gauge"], np.arange(len(gauges) + 1))
+    rain = np.empty((len(gauges), len(grid_times)))
+    level = np.empty_like(rain)
+    for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        own = readings[lo:hi]
+        rain[g] = resample_series(own["t"], own["rain"], grid_times)
+        level[g] = resample_series(own["t"], own["elevation"], grid_times)
+    ratio = level / gauges["threshold"][:, None]
+    return tuple(w[:, :1] * s[nearest[:, 0]] + w[:, 1:] * s[nearest[:, 1]]
+                 for s in (rain, ratio))
 
 
 def accumulate_rainfall(incremental: np.ndarray, window_steps: int) -> np.ndarray:
-    """Trailing-window sum, truncated at the start of the series."""
+    """Trailing-window sum along the last (time) axis, truncated at the start."""
     if window_steps < 1:
         raise UsageError(f"window_steps must be >= 1, got {window_steps}")
     incremental = np.asarray(incremental, dtype=float)
     if np.any(incremental < 0):
         raise DomainError("rainfall increments must be nonnegative")
-    cs = np.concatenate([[0.0], np.cumsum(incremental)])
-    idx = np.arange(incremental.size) + 1
+    cs = np.cumsum(incremental, axis=-1)
+    cs = np.concatenate([np.zeros(cs.shape[:-1] + (1,)), cs], axis=-1)
+    idx = np.arange(incremental.shape[-1]) + 1
     lo = np.maximum(idx - window_steps, 0)
-    return cs[idx] - cs[lo]
-
-
-def water_ratio(elevation: np.ndarray, threshold: float) -> np.ndarray:
-    """Elevation relative to the flooding threshold; may exceed 1 in a flood."""
-    if threshold <= 0:
-        raise UsageError(f"threshold must be > 0, got {threshold}")
-    return np.asarray(elevation, dtype=float) / threshold
-
-
-def blend_gauge_channel(series_1: np.ndarray, series_2: np.ndarray,
-                        w1: float, w2: float) -> np.ndarray:
-    """Convex combination of two per-gauge series on the same grid."""
-    series_1 = np.asarray(series_1, dtype=float)
-    series_2 = np.asarray(series_2, dtype=float)
-    if series_1.shape != series_2.shape:
-        raise UsageError(f"grid mismatch: {series_1.shape} vs {series_2.shape}")
-    if abs(w1 + w2 - 1.0) > 1e-9:
-        raise UsageError(f"weights must sum to 1, got {w1} + {w2}")
-    return w1 * series_1 + w2 * series_2
+    return cs[..., idx] - cs[..., lo]
 
 
 # -- event channels ------------------------------------------------------------
 
 
-def aggregate_point_events(stream: EventStream, node_xy: np.ndarray, grid: TimeGrid
-                           ) -> tuple[np.ndarray, dict]:
-    """Count events per (nearest node, grid interval).
+def aggregate_point_events(events: np.ndarray, node_xy: np.ndarray,
+                           grid: TimeGrid) -> np.ndarray:
+    """Sum event values per (nearest node, grid interval) for events of one kind.
 
     Every located event maps to its nearest centroid (there are no polygon
     boundaries at this stage), so nothing is dropped spatially; events whose
-    timestamp precedes the grid or follows its last interval are excluded but
-    tallied in the returned report, never silently discarded.
+    timestamp precedes the grid or follows its last interval are excluded
+    with a warning, never silently discarded.
     """
-    n = node_xy.shape[0]
-    counts = np.zeros((n, grid.count))
-    out_of_range = 0.0
-    for rec in stream.records:
-        if rec.x is None or rec.y is None:
-            raise UsageError(f"{stream.kind} event lacks a location")
-        idx = grid.index_of(rec.timestamp)
-        if idx is None:
-            out_of_range += rec.value
-            continue
-        node = int(np.argmin(np.hypot(node_xy[:, 0] - rec.x, node_xy[:, 1] - rec.y)))
-        counts[node, idx] += rec.value
-    report = {"assigned": float(counts.sum()), "out_of_time_range": out_of_range}
-    if out_of_range:
+    step = np.ceil((events["t"] - grid.start) / grid.step_seconds)
+    inside = (step >= 0) & (step < grid.count)
+    if not np.all(inside):
+        lost = events[~inside]
         log.warning("%s: %.0f event(s) fell outside the grid time range",
-                    stream.kind, out_of_range)
-    return counts, report
+                    lost["kind"][0], lost["value"].sum())
+    events = events[inside]
+    # nearest node by a running minimum, first node on ties (as np.argmin);
+    # never an events x nodes matrix
+    nearest = np.zeros(len(events), dtype=np.int64)
+    best = np.full(len(events), np.inf)
+    for i, (nx, ny) in enumerate(node_xy):
+        d = np.hypot(nx - events["x"], ny - events["y"])
+        closer = d < best
+        nearest[closer], best[closer] = i, d[closer]
+    counts = np.zeros((len(node_xy), grid.count))
+    np.add.at(counts, (nearest, step[inside].astype(np.int64)), events["value"])
+    return counts
 
 
-def aggregate_activity(stream: EventStream, tile_to_node: dict[str, str],
+def aggregate_activity(events: np.ndarray, tile_to_node: dict[str, str],
                        node_ids: Sequence[str], grid: TimeGrid) -> np.ndarray:
     """Average activity-tile indexes per node, then resample to the grid.
 
     Raw activity arrives on a coarser cadence (4-hour windows); per raw
-    timestamp the member tiles of a node are averaged, and the resulting
-    series is linearly interpolated onto the 30-minute grid with constant
-    extension at the ends. Nodes with no tiles get a zero channel and a
-    coverage warning.
+    timestamp the member tiles of a node are averaged (summed in record
+    order), and the resulting series is linearly interpolated onto the
+    30-minute grid with constant extension at the ends. Nodes with no tiles
+    get a zero channel and a coverage warning.
     """
     node_index = {nid: i for i, nid in enumerate(node_ids)}
-    per_node: dict[int, dict[float, list[float]]] = {}
-    for rec in stream.records:
-        if rec.tile_id is None:
-            raise UsageError("activity event lacks a tile id")
-        node = tile_to_node.get(rec.tile_id)
+    rows = []
+    for tile in events["tile"]:
+        node = tile_to_node.get(tile)
         if node not in node_index:
-            raise UsageError(f"tile {rec.tile_id!r} maps to no known node ({node!r}) "
+            raise UsageError(f"tile {tile!r} maps to no known node ({node!r}) "
                              f"in the tile->node map")
-        per_node.setdefault(node_index[node], {}).setdefault(rec.timestamp, []).append(rec.value)
+        rows.append(node_index[node])
+    stamps, cols = np.unique(events["t"], return_inverse=True)
+    cells = np.array(rows, dtype=np.int64), cols
+    sums = np.zeros((len(node_ids), stamps.size))
+    counts = np.zeros_like(sums)
+    np.add.at(sums, cells, events["value"])
+    np.add.at(counts, cells, 1.0)
 
     out = np.zeros((len(node_ids), grid.count))
-    uncovered = []
-    for i, nid in enumerate(node_ids):
-        buckets = per_node.get(i)
-        if not buckets:
-            uncovered.append(nid)
-            continue
-        stamps = np.array(sorted(buckets))
-        means = np.array([float(np.mean(buckets[t])) for t in stamps])
-        if stamps.size == 1:
-            out[i, :] = means[0]
-        else:
-            out[i, :] = resample_series(stamps, means, grid.times())
+    times = grid.times()
+    for i in range(len(node_ids)):
+        seen = counts[i] > 0
+        if np.any(seen):
+            out[i] = np.interp(times, stamps[seen], sums[i, seen] / counts[i, seen])
+    uncovered = [nid for nid, c in zip(node_ids, counts) if not np.any(c)]
     if uncovered:
         log.warning("activity coverage: %d node(s) have no tiles (%s%s)",
                     len(uncovered), ", ".join(uncovered[:5]),
@@ -337,11 +279,6 @@ def aggregate_activity(stream: EventStream, tile_to_node: dict[str, str],
 N_CLASSES = 3
 NO_FLOOD_BELOW = 0.01
 SEVERE_ABOVE = 0.10
-
-
-def label_flood_class(flooded_fraction: float) -> int:
-    """Class for one flooded-road fraction (see :func:`label_flood_classes`)."""
-    return int(label_flood_classes(flooded_fraction))
 
 
 def label_flood_classes(fractions: np.ndarray) -> np.ndarray:
@@ -442,49 +379,75 @@ def _read_csv(path: Path, expected_header: list[str]) -> list[dict]:
         return list(reader)
 
 
-def load_gauges(directory: Path) -> list[GaugeStation]:
+def _number(text: str, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """``float(text)``; a value that is not finite or not in [low, high]
+    raises :class:`DomainError`."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} {value} is not finite")
+    if not low <= value <= high:
+        raise DomainError(f"{name} {value} outside [{low}, {high}]")
+    return value
+
+
+def load_gauges(directory: Path) -> tuple[np.ndarray, np.ndarray]:
+    """``gauges.csv`` in id order (:data:`GAUGE_DTYPE`) and ``gauge_readings.csv``
+    sorted by gauge, then time (:data:`READING_DTYPE`)."""
     path = directory / "gauges.csv"
-    gauges = {g.id: g for g in convert_rows(
-        _read_csv(path, ["id", "x", "y", "threshold"]),
-        lambda r: GaugeStation(id=r["id"], x=float(r["x"]), y=float(r["y"]),
-                               flood_threshold_elevation=float(r["threshold"])), path)}
+    ids = set()
+
+    def gauge(r):
+        if r["id"] in ids:
+            raise UsageError(f"a second row for gauge {r['id']}")
+        ids.add(r["id"])
+        threshold = _number(r["threshold"], "threshold")
+        if threshold <= 0:
+            raise DomainError(f"gauge {r['id']}: flood threshold must be > 0")
+        return r["id"], _number(r["x"], "x"), _number(r["y"], "y"), threshold
+
+    gauges = np.array(sorted(convert_rows(_read_csv(path, ["id", "x", "y", "threshold"]),
+                                          gauge, path)), dtype=GAUGE_DTYPE)
+    index = {gid: i for i, gid in enumerate(gauges["id"])}
     path = directory / "gauge_readings.csv"
-    readings = convert_rows(
+    seen = set()
+
+    def reading(r):
+        if r["gauge_id"] not in index:
+            raise UsageError(f"reading references unknown gauge {r['gauge_id']!r}")
+        key = index[r["gauge_id"]], parse_utc(r["timestamp"])
+        if key in seen:
+            raise UsageError(f"a second reading of gauge {r['gauge_id']} at {r['timestamp']}")
+        seen.add(key)
+        return (*key, _number(r["rain_increment_mm"], "rain_increment_mm", 0.0),
+                _number(r["water_elevation_m"], "water_elevation_m"))
+
+    readings = np.array(convert_rows(
         _read_csv(path, ["gauge_id", "timestamp", "rain_increment_mm", "water_elevation_m"]),
-        lambda r: (r["gauge_id"], GaugeReading(
-            timestamp=parse_utc(r["timestamp"]),
-            rain_increment_mm=float(r["rain_increment_mm"]),
-            water_elevation_m=float(r["water_elevation_m"]))), path)
-    for gid, reading in readings:
-        if gid not in gauges:
-            raise UsageError(f"reading references unknown gauge {gid!r}")
-        gauges[gid].readings.append(reading)
-    out = []
-    for g in gauges.values():
-        g.readings.sort(key=lambda rec: rec.timestamp)
-        out.append(GaugeStation(id=g.id, x=g.x, y=g.y,
-                                flood_threshold_elevation=g.flood_threshold_elevation,
-                                readings=g.readings))
-    return sorted(out, key=lambda g: g.id)
+        reading, path), dtype=READING_DTYPE)
+    return gauges, readings[np.lexsort((readings["t"], readings["gauge"]))]
 
 
-def load_events(directory: Path) -> dict[str, EventStream]:
+def load_events(directory: Path) -> np.ndarray:
+    """``events.csv`` as :data:`EVENT_DTYPE` records in file order."""
     path = directory / "events.csv"
-    rows = convert_rows(
-        _read_csv(path, ["kind", "timestamp", "x", "y", "tile_id", "value"]),
-        lambda r: (r["kind"], EventRecord(
-            timestamp=parse_utc(r["timestamp"]),
-            value=float(r["value"]),
-            x=float(r["x"]) if r["x"] else None,
-            y=float(r["y"]) if r["y"] else None,
-            tile_id=r["tile_id"] or None,
-        )), path)
-    streams = {kind: EventStream(kind=kind) for kind in EVENT_KINDS}
-    for kind, record in rows:
-        if kind not in streams:
-            raise UsageError(f"unknown event kind {kind!r} in events.csv")
-        streams[kind].records.append(record)
-    return {k: EventStream(kind=k, records=s.records) for k, s in streams.items()}
+
+    def event(r):
+        kind = r["kind"]
+        if kind not in EVENT_KINDS:
+            raise UsageError(f"unknown event kind {kind!r}")
+        x, y = (_number(r[c], c) if r[c] else math.nan for c in ("x", "y"))
+        if kind == "activity_tile":
+            if not r["tile_id"]:
+                raise UsageError("an activity_tile event needs a tile_id")
+            value = _number(r["value"], "activity index", 0.0, 1.0)
+        else:
+            if math.isnan(x) or math.isnan(y):
+                raise UsageError(f"a {kind} event needs x and y")
+            value = _number(r["value"], f"{kind} value", 0.0)
+        return kind, parse_utc(r["timestamp"]), x, y, r["tile_id"], value
+
+    return np.array(convert_rows(_read_csv(path, ["kind", "timestamp", "x", "y", "tile_id",
+                                                  "value"]), event, path), dtype=EVENT_DTYPE)
 
 
 def load_tile_map(directory: Path) -> dict[str, str]:
@@ -497,87 +460,67 @@ def load_tile_map(directory: Path) -> dict[str, str]:
 
 def load_road_status(directory: Path, node_ids: Sequence[str]
                      ) -> tuple[TimeGrid, np.ndarray]:
+    """The grid ``road_status.csv``'s timestamps set, and its ``(N, T)`` fractions."""
     path = directory / "road_status.csv"
-    rows = convert_rows(
-        _read_csv(path, ["node_id", "timestamp", "flooded_fraction"]),
-        lambda r: (r["node_id"], parse_utc(r["timestamp"]), float(r["flooded_fraction"])),
-        path)
-    grid = TimeGrid.from_timestamps([stamp for _, stamp, _ in rows], path)
     index = {nid: i for i, nid in enumerate(node_ids)}
-    stamp_index = {s: i for i, s in enumerate(grid.times())}
+    seen = set()
+
+    def status(r):
+        if r["node_id"] not in index:
+            raise UsageError(f"unknown node {r['node_id']!r}")
+        key = index[r["node_id"]], parse_utc(r["timestamp"])
+        if key in seen:
+            raise UsageError(f"a second row for node {r['node_id']} at {format_utc(key[1])}")
+        seen.add(key)
+        return (*key, _number(r["flooded_fraction"], "flooded_fraction", 0.0, 1.0))
+
+    rows = np.array(convert_rows(
+        _read_csv(path, ["node_id", "timestamp", "flooded_fraction"]), status, path),
+        dtype=[("node", "i8"), ("t", "f8"), ("fraction", "f8")])
+    grid = TimeGrid.from_timestamps(rows["t"].tolist(), path)
     fractions = np.full((len(node_ids), grid.count), np.nan)
-    for line, (nid, stamp, fraction) in enumerate(rows, start=2):
-        if nid not in index:
-            raise UsageError(f"road_status references unknown node {nid!r}")
-        cell = index[nid], stamp_index[stamp]
-        if not math.isnan(fractions[cell]):
-            raise UsageError(f"{path} line {line}: a second row for node {nid} at "
-                             f"{format_utc(stamp)}")
-        if not math.isfinite(fraction):
-            raise DomainError(f"{path} line {line}: flooded_fraction {fraction} is not finite")
-        fractions[cell] = fraction
-    if np.any(np.isnan(fractions)):
-        ni, ti = np.argwhere(np.isnan(fractions))[0]
-        raise DomainError(f"road_status missing node {node_ids[ni]} at step {ti}")
+    fractions[rows["node"], np.searchsorted(grid.times(), rows["t"])] = rows["fraction"]
+    missing = np.argwhere(np.isnan(fractions))
+    if missing.size:
+        ni, ti = missing[0]
+        raise UsageError(f"{path}: no row for node {node_ids[ni]} at "
+                         f"{format_utc(grid.times()[ti])}")
     return grid, fractions
 
 
-def build_feature_tensor(nodes: Sequence[UnitNode], gauges: Sequence[GaugeStation],
-                         events: dict[str, EventStream], tile_to_node: dict[str, str],
-                         grid: TimeGrid, fractions: np.ndarray,
-                         train_steps: int) -> FeatureTensor:
+def build_feature_tensor(nodes: Sequence[UnitNode], gauges: np.ndarray, readings: np.ndarray,
+                         events: np.ndarray, tile_to_node: dict[str, str], grid: TimeGrid,
+                         fractions: np.ndarray, train_steps: int) -> FeatureTensor:
     """Run the whole channel pipeline for a loaded scenario."""
     node_ids = [n.id for n in nodes]
     node_xy = np.array([[n.x, n.y] for n in nodes])
-    times = grid.times()
-
-    # per-gauge series on the grid (rain increments and threshold-relative level)
-    per_gauge_rain: dict[str, np.ndarray] = {}
-    per_gauge_ratio: dict[str, np.ndarray] = {}
-    for g in gauges:
-        ts, rain, elev = g.series()
-        per_gauge_rain[g.id] = resample_series(ts, rain, times)
-        per_gauge_ratio[g.id] = water_ratio(resample_series(ts, elev, times),
-                                            g.flood_threshold_elevation)
-
-    rain_blend = np.zeros((len(nodes), grid.count))
-    ratio_blend = np.zeros((len(nodes), grid.count))
-    for i, node in enumerate(nodes):
-        (g1, w1), (g2, w2) = nearest_two_gauges((node.x, node.y), gauges)
-        rain_blend[i] = blend_gauge_channel(per_gauge_rain[g1.id], per_gauge_rain[g2.id], w1, w2)
-        ratio_blend[i] = blend_gauge_channel(per_gauge_ratio[g1.id], per_gauge_ratio[g2.id], w1, w2)
-
-    rain_2h = np.vstack([accumulate_rainfall(rain_blend[i], RAIN_SHORT_STEPS)
-                         for i in range(len(nodes))])
-    rain_24h = np.vstack([accumulate_rainfall(rain_blend[i], RAIN_LONG_STEPS)
-                          for i in range(len(nodes))])
-
-    reports, _ = aggregate_point_events(events["report_311"], node_xy, grid)
-    tweets, _ = aggregate_point_events(events["tweet"], node_xy, grid)
-    activity = aggregate_activity(events["activity_tile"], tile_to_node, node_ids, grid)
-
+    rain, ratio = gauge_channels(gauges, readings, node_xy, grid.times())
+    kind = events["kind"]
     channels = {
-        "rain_2h": rain_2h,
-        "rain_24h": rain_24h,
-        "water_ratio": ratio_blend,
-        "reports_311": reports,
-        "tweets": tweets,
-        "activity": activity,
+        "rain_2h": accumulate_rainfall(rain, RAIN_SHORT_STEPS),
+        "rain_24h": accumulate_rainfall(rain, RAIN_LONG_STEPS),
+        "water_ratio": ratio,
+        "reports_311": aggregate_point_events(events[kind == "report_311"], node_xy, grid),
+        "tweets": aggregate_point_events(events[kind == "tweet"], node_xy, grid),
+        "activity": aggregate_activity(events[kind == "activity_tile"], tile_to_node,
+                                       node_ids, grid),
     }
-    labels = label_flood_classes(fractions)
-    return assemble(node_ids, channels, labels, grid, train_steps)
+    return assemble(node_ids, channels, label_flood_classes(fractions), grid, train_steps)
 
 
 def prepare_from_dir(directory: str | Path, train_steps: int) -> FeatureTensor:
     """Load a scenario directory's CSV files and assemble the feature tensor."""
     directory = Path(directory)
-    from .graph import load_nodes_csv  # local import to avoid cycle at module load
+    # looked up at call time, so that a wrapper installed on graph.load_nodes_csv
+    # (perfbench's tracer installs one) sees this call
+    from .graph import load_nodes_csv
     nodes = load_nodes_csv(directory / "nodes.csv")
-    gauges = load_gauges(directory)
+    gauges, readings = load_gauges(directory)
     events = load_events(directory)
     tiles = load_tile_map(directory)
     grid, fractions = load_road_status(directory, [n.id for n in nodes])
-    return build_feature_tensor(nodes, gauges, events, tiles, grid, fractions, train_steps)
+    return build_feature_tensor(nodes, gauges, readings, events, tiles, grid, fractions,
+                                train_steps)
 
 
 # -- dataset container ----------------------------------------------------------

@@ -32,12 +32,13 @@ from floodnowcast.model import (
     save_weights,
 )
 from floodnowcast.pipeline import (
+    GAUGE_DTYPE,
+    READING_DTYPE,
     accumulate_rainfall,
-    blend_gauge_channel,
-    label_flood_class,
+    gauge_channels,
+    label_flood_classes,
     nearest_two_gauges,
     prepare_from_dir,
-    GaugeStation,
 )
 from floodnowcast.scenario import ScenarioConfig, generate, physics_only
 from floodnowcast.tensor import canonical_reductions
@@ -159,11 +160,13 @@ def test_criterion_3_metrics_fixtures():
 
 
 def test_criterion_4_pipeline_fixtures():
-    gauges = [GaugeStation(id="a", x=1000.0, y=0.0, flood_threshold_elevation=3.0),
-              GaugeStation(id="b", x=3000.0, y=0.0, flood_threshold_elevation=3.0)]
-    (g1, w1), (g2, w2) = nearest_two_gauges((0.0, 0.0), gauges)
-    blend = blend_gauge_channel(np.array([10.0]), np.array([20.0]), w1, w2)
-    blend_ok = (g1.id, g2.id) == ("a", "b") and blend[0] == 12.5
+    gauges = np.array([("a", 1000.0, 0.0, 3.0), ("b", 3000.0, 0.0, 3.0)], dtype=GAUGE_DTYPE)
+    readings = np.array([(0, 0.0, 10.0, 1.0), (0, 1.0, 10.0, 1.0),     # gauge a reads 10
+                         (1, 0.0, 20.0, 1.0), (1, 1.0, 20.0, 1.0)],    # gauge b reads 20
+                        dtype=READING_DTYPE)
+    nearest, _ = nearest_two_gauges(np.zeros((1, 2)), np.array([[1000.0, 0.0], [3000.0, 0.0]]))
+    blend = gauge_channels(gauges, readings, np.zeros((1, 2)), np.array([0.0]))[0][0]
+    blend_ok = list(gauges["id"][nearest[0]]) == ["a", "b"] and blend[0] == 12.5
 
     series = np.zeros(20)
     series[10] = 7.0
@@ -172,8 +175,7 @@ def test_criterion_4_pipeline_fixtures():
     expected[10:14] = 7.0
     impulse_ok = np.array_equal(rolled, expected)
 
-    labels_ok = (label_flood_class(0.005) == 0 and label_flood_class(0.05) == 1
-                 and label_flood_class(0.15) == 2)
+    labels_ok = label_flood_classes(np.array([0.005, 0.05, 0.15])).tolist() == [0, 1, 2]
     _report(4, "pipeline fixtures", blend_ok and impulse_ok and labels_ok,
             f"blend {blend[0]}, impulse window [10, 13], "
             f"labels (0.005, 0.05, 0.15) -> (0, 1, 2)")

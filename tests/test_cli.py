@@ -610,10 +610,15 @@ def _set(column, value):
     return lambda row: row[:column] + [value] + row[column + 1:]
 
 
+def _tweet(x, y, value):
+    return lambda row: ["tweet", row[1], x, y, "", value]
+
+
 # the first four and the last ended in a ValueError, TypeError or KeyError traceback
 # (exit 1); a row's own DomainError (a non-finite coordinate or fraction) keeps exit 4
 # and gains the line. A non-finite event or gauge coordinate and an in_floodplain of 7
-# were accepted (exit 0), and a nan fraction was reported as a missing row
+# were accepted (exit 0), and a nan fraction was reported as a missing row. A nan or
+# negative event value, a nan reading and a point event without x/y named no line
 @pytest.mark.parametrize("command,name,edit,code", [
     ("prepare", "nodes.csv", _set(1, "abc"), 2),
     ("prepare", "gauge_readings.csv", _set(2, "n/a"), 2),
@@ -627,10 +632,17 @@ def _set(column, value):
     ("prepare", "gauges.csv", _set(2, "nan"), 4),
     ("prepare", "nodes.csv", _set(3, "7"), 2),
     ("prepare", "road_status.csv", _set(2, "nan"), 4),
+    ("prepare", "events.csv", _tweet("10.0", "10.0", "nan"), 4),
+    ("prepare", "gauge_readings.csv", _set(2, "nan"), 4),
+    ("prepare", "gauge_readings.csv", _set(3, "nan"), 4),
+    ("prepare", "events.csv", _tweet("10.0", "10.0", "-1"), 4),
+    ("prepare", "events.csv", _tweet("", "", "1"), 2),
     ("evaluate", "nodes.csv", _set(2, "abc"), 2),
 ], ids=["nodes_x", "rain_increment", "short_event_row", "short_tile_row", "nodes_x_nan",
         "event_x_nan", "event_x_inf", "event_y_minus_inf", "gauge_x_inf", "gauge_y_nan",
-        "nodes_in_floodplain_7", "road_status_fraction_nan", "evaluate_nodes_y"])
+        "nodes_in_floodplain_7", "road_status_fraction_nan", "event_value_nan",
+        "rain_increment_nan", "water_elevation_nan", "event_value_negative",
+        "point_event_without_location", "evaluate_nodes_y"])
 def test_scenario_csv_row_that_does_not_convert_exits_with_its_line(
         workspace, tmp_path, capsys, command, name, edit, code):
     if command == "prepare":
@@ -658,6 +670,38 @@ def test_road_status_row_repeating_a_node_and_time_exits_2(workspace, tmp_path, 
     err = _assert_usage_error(capsys, ["prepare", "--scenario", str(tmp_path / "scen"),
                                        "--out", str(tmp_path / "o")])
     assert f"road_status.csv line {len(rows) + 1}: a second row for node {rows[1][0]}" in err
+
+
+# a repeated gauge id replaced the first gauge (exit 0); a repeated reading exited 2
+# naming no line
+@pytest.mark.parametrize("name,repeat,message", [
+    ("gauges.csv", lambda row: row[:1] + ["1.0"] + row[2:], "a second row for gauge "),
+    ("gauge_readings.csv", lambda row: row[:2] + ["9.0", "9.0"], "a second reading of gauge "),
+], ids=["gauge_id", "gauge_reading"])
+def test_scenario_csv_row_repeating_a_key_exits_2(workspace, tmp_path, capsys, name, repeat,
+                                                   message):
+    shutil.copytree(workspace / "scen", tmp_path / "scen")
+    path = tmp_path / "scen" / name
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerow(repeat(rows[1]))
+    err = _assert_usage_error(capsys, ["prepare", "--scenario", str(tmp_path / "scen"),
+                                       "--out", str(tmp_path / "o")])
+    assert f"{name} line {len(rows) + 1}: {message}{rows[1][0]}" in err
+
+
+def test_road_status_missing_row_exits_2(workspace, tmp_path, capsys):
+    # the missing pair exited 4 naming neither the file nor the timestamp
+    shutil.copytree(workspace / "scen", tmp_path / "scen")
+    path = tmp_path / "scen" / "road_status.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:1] + rows[2:])
+    err = _assert_usage_error(capsys, ["prepare", "--scenario", str(tmp_path / "scen"),
+                                       "--out", str(tmp_path / "o")])
+    assert f"road_status.csv: no row for node {rows[1][0]} at {rows[1][1]}" in err
 
 
 def _respace_road_status(path, seconds, offset):

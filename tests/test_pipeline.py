@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,67 +9,107 @@ import pytest
 from floodnowcast.errors import DomainError, UsageError
 from floodnowcast.pipeline import (
     CHANNELS,
-    EventRecord,
-    EventStream,
-    GaugeReading,
-    GaugeStation,
+    EVENT_DTYPE,
+    GAUGE_DTYPE,
+    READING_DTYPE,
     TimeGrid,
     accumulate_rainfall,
     aggregate_activity,
     aggregate_point_events,
     assemble,
-    blend_gauge_channel,
-    label_flood_class,
+    gauge_channels,
     label_flood_classes,
     load_dataset,
+    load_events,
+    load_gauges,
     nearest_two_gauges,
     parse_utc,
     resample_series,
     save_dataset,
-    water_ratio,
 )
 
 T0 = parse_utc("2022-05-01T00:00:00+00:00")
 HOUR = 3600.0
 
 
-def _gauge(gid, x, y, threshold=3.0, readings=()):
-    return GaugeStation(id=gid, x=x, y=y, flood_threshold_elevation=threshold,
-                        readings=list(readings))
+def _gauges(*rows):
+    """Gauge records ``(id, x, y[, threshold])``, threshold 3 by default, in id order."""
+    return np.array(sorted((*r, 3.0) if len(r) == 3 else r for r in rows), dtype=GAUGE_DTYPE)
+
+
+def _xy(gauges):
+    return np.column_stack((gauges["x"], gauges["y"]))
+
+
+def _readings(*series):
+    """Readings at T0 and T0 + 1 h: gauge i reads ``(rain, elevation)`` = series[i]."""
+    return np.array([(g, t, rain, level) for g, (rain, level) in enumerate(series)
+                     for t in (T0, T0 + HOUR)], dtype=READING_DTYPE)
+
+
+def _events(kind, *rows):
+    """Events of one kind from ``(t, x, y, tile, value)`` rows."""
+    return np.array([(kind, *r) for r in rows], dtype=EVENT_DTYPE)
+
+
+def _write(directory, name, lines):
+    (directory / name).write_text("\n".join(lines) + "\n")
 
 
 # -- nearest gauges ------------------------------------------------------------
 
 
 def test_nearest_two_gauges_inverse_distance():
-    gauges = [_gauge("a", 1000.0, 0.0), _gauge("b", 3000.0, 0.0), _gauge("c", 9000.0, 0.0)]
-    (g1, w1), (g2, w2) = nearest_two_gauges((0.0, 0.0), gauges)
-    assert (g1.id, g2.id) == ("a", "b")
-    assert w1 == pytest.approx(0.75, abs=1e-12)
-    assert w2 == pytest.approx(0.25, abs=1e-12)
+    gauges = _gauges(("a", 1000.0, 0.0), ("b", 3000.0, 0.0), ("c", 9000.0, 0.0))
+    nearest, w = nearest_two_gauges(np.zeros((1, 2)), _xy(gauges))
+    assert list(gauges["id"][nearest[0]]) == ["a", "b"]
+    assert w[0, 0] == pytest.approx(0.75, abs=1e-12)
+    assert w[0, 1] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_nearest_two_gauges_equal_distances():
-    gauges = [_gauge("a", -500.0, 0.0), _gauge("b", 500.0, 0.0)]
-    (_, w1), (_, w2) = nearest_two_gauges((0.0, 0.0), gauges)
-    assert w1 == w2 == 0.5
+    gauges = _gauges(("a", -500.0, 0.0), ("b", 500.0, 0.0))
+    _, w = nearest_two_gauges(np.zeros((1, 2)), _xy(gauges))
+    assert w[0, 0] == w[0, 1] == 0.5
 
 
 def test_nearest_two_gauges_coincident():
-    gauges = [_gauge("a", 0.0, 0.0), _gauge("b", 700.0, 0.0)]
-    (g1, w1), (g2, w2) = nearest_two_gauges((0.0, 0.0), gauges)
-    assert g1.id == "a" and w1 == 1.0 and w2 == 0.0
+    gauges = _gauges(("a", 0.0, 0.0), ("b", 700.0, 0.0))
+    nearest, w = nearest_two_gauges(np.zeros((1, 2)), _xy(gauges))
+    assert nearest[0, 0] == 0 and w[0, 0] == 1.0 and w[0, 1] == 0.0
 
 
-def test_nearest_two_gauges_tie_breaks_by_id():
-    gauges = [_gauge("z", 100.0, 0.0), _gauge("a", -100.0, 0.0), _gauge("m", 0.0, 900.0)]
-    (g1, _), (g2, _) = nearest_two_gauges((0.0, 0.0), gauges)
-    assert (g1.id, g2.id) == ("a", "z")
+def test_nearest_two_gauges_tie_breaks_by_id(tmp_path):
+    # gauges.csv lists them out of id order; load_gauges sorts by id
+    _write(tmp_path, "gauges.csv", ["id,x,y,threshold", "z,100.0,0.0,3.0",
+                                    "a,-100.0,0.0,3.0", "m,0.0,900.0,3.0"])
+    _write(tmp_path, "gauge_readings.csv",
+           ["gauge_id,timestamp,rain_increment_mm,water_elevation_m"])
+    gauges, _ = load_gauges(tmp_path)
+    nearest, _ = nearest_two_gauges(np.zeros((1, 2)), _xy(gauges))
+    assert list(gauges["id"][nearest[0]]) == ["a", "z"]
 
 
 def test_nearest_two_gauges_needs_two():
     with pytest.raises(UsageError):
-        nearest_two_gauges((0.0, 0.0), [_gauge("a", 1.0, 1.0)])
+        nearest_two_gauges(np.zeros((1, 2)), _xy(_gauges(("a", 1.0, 1.0))))
+
+
+def test_nearest_two_gauges_match_a_per_node_loop():
+    # the loop ranks by (math.hypot, id); np.hypot differs from math.hypot in
+    # the last bit on about 0.6% of coordinate pairs, which would change weights
+    rng = np.random.default_rng(1)
+    gauge_xy = rng.uniform(0, 30_000, size=(8, 2))
+    gauge_xy[5] = gauge_xy[2]                      # a tie, broken toward gauge 2
+    node_xy = np.vstack([rng.uniform(0, 30_000, size=(500, 2)), gauge_xy[3:4]])
+    nearest, w = nearest_two_gauges(node_xy, gauge_xy)
+    for i, (nx, ny) in enumerate(node_xy.tolist()):
+        ranked = sorted(range(8), key=lambda g: (math.hypot(gauge_xy[g, 0] - nx,
+                                                            gauge_xy[g, 1] - ny), g))
+        d1, d2 = (math.hypot(gauge_xy[g, 0] - nx, gauge_xy[g, 1] - ny) for g in ranked[:2])
+        inv1, inv2 = (1.0 / d1, 1.0 / d2) if d1 else (1.0, 0.0)
+        assert list(nearest[i]) == ranked[:2]
+        assert list(w[i]) == [inv1 / (inv1 + inv2), inv2 / (inv1 + inv2)]
 
 
 # -- resampling ------------------------------------------------------------------
@@ -118,6 +159,15 @@ def test_accumulate_impulse_window_membership():
     np.testing.assert_array_equal(out, expected)
 
 
+def test_accumulate_rows_match_one_row_at_a_time():
+    rng = np.random.default_rng(2)
+    rain = rng.exponential(size=(5, 60))
+    for window in (4, 48):
+        together = accumulate_rainfall(rain, window)
+        assert np.array_equal(together, np.vstack([accumulate_rainfall(r, window)
+                                                   for r in rain]))
+
+
 def test_accumulate_rejects_negative_and_bad_window():
     with pytest.raises(DomainError):
         accumulate_rainfall(np.array([1.0, -0.1]), 4)
@@ -129,32 +179,51 @@ def test_accumulate_rejects_negative_and_bad_window():
 
 
 def test_water_ratio_values():
-    np.testing.assert_allclose(water_ratio(np.array([3.0, 0.0, 4.5]), 3.0),
-                               [1.0, 0.0, 1.5])
+    gauges = _gauges(("a", 0.0, 0.0, 3.0), ("b", 10.0, 0.0, 2.0))
+    grid = np.array([T0, T0 + HOUR])
+    readings = np.array([(0, T0, 0.0, 3.0), (0, T0 + HOUR, 0.0, 4.5),
+                         (1, T0, 0.0, 0.0), (1, T0 + HOUR, 0.0, 1.0)], dtype=READING_DTYPE)
+    # nodes sitting on each gauge read that gauge's elevation / threshold
+    _, ratio = gauge_channels(gauges, readings, np.array([[0.0, 0.0], [10.0, 0.0]]), grid)
+    np.testing.assert_allclose(ratio, [[1.0, 1.5], [0.0, 0.5]])
 
 
-def test_water_ratio_rejects_bad_threshold():
-    with pytest.raises(UsageError):
-        water_ratio(np.array([1.0]), 0.0)
+def test_water_ratio_rejects_bad_threshold(tmp_path):
+    _write(tmp_path, "gauge_readings.csv",
+           ["gauge_id,timestamp,rain_increment_mm,water_elevation_m"])
+    for threshold in ("0.0", "-1.0", "nan"):
+        _write(tmp_path, "gauges.csv", ["id,x,y,threshold", "a,0.0,0.0,3.0",
+                                        f"b,1.0,0.0,{threshold}"])
+        with pytest.raises(DomainError, match="gauges.csv line 3: "):
+            load_gauges(tmp_path)
 
 
 # -- blending ---------------------------------------------------------------------
 
 
 def test_blend_hand_value():
-    out = blend_gauge_channel(np.array([10.0]), np.array([20.0]), 0.75, 0.25)
-    assert out[0] == pytest.approx(12.5, abs=1e-12)
+    gauges = _gauges(("a", 1000.0, 0.0), ("b", 3000.0, 0.0))
+    rain, _ = gauge_channels(gauges, _readings((10.0, 1.0), (20.0, 1.0)), np.zeros((1, 2)),
+                             np.array([T0]))
+    assert rain[0, 0] == pytest.approx(12.5, abs=1e-12)
 
 
 def test_blend_identity_cases():
     s = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(blend_gauge_channel(s, s, 0.4, 0.6), s)
-    np.testing.assert_array_equal(blend_gauge_channel(s, s * 9, 1.0, 0.0), s)
-
-
-def test_blend_rejects_grid_mismatch():
-    with pytest.raises(UsageError):
-        blend_gauge_channel(np.ones(3), np.ones(4), 0.5, 0.5)
+    grid = T0 + 1800.0 * np.arange(3)
+    same = np.array([(g, t, v, v) for g in (0, 1) for t, v in zip(grid, s)],
+                    dtype=READING_DTYPE)
+    # equal series blend to themselves at any weights
+    rain, ratio = gauge_channels(_gauges(("a", 0.0, 0.0, 1.0), ("b", 30.0, 0.0, 1.0)), same,
+                                 np.array([[12.0, 0.0]]), grid)
+    np.testing.assert_array_equal(rain[0], s)
+    np.testing.assert_array_equal(ratio[0], s)
+    # a node on gauge a takes weight 1 on it, whatever b reads
+    other = same.copy()
+    other["rain"][3:] *= 9
+    rain, _ = gauge_channels(_gauges(("a", 0.0, 0.0), ("b", 30.0, 0.0)), other,
+                             np.zeros((1, 2)), grid)
+    np.testing.assert_array_equal(rain[0], s)
 
 
 # -- point events ------------------------------------------------------------------
@@ -165,74 +234,85 @@ def _grid(count=6):
 
 
 def test_point_events_empty():
-    counts, report = aggregate_point_events(EventStream("report_311"),
-                                            np.zeros((3, 2)), _grid())
-    assert counts.sum() == 0 and report["assigned"] == 0
+    counts = aggregate_point_events(_events("report_311"), np.zeros((3, 2)), _grid())
+    assert counts.shape == (3, 6) and counts.sum() == 0
 
 
 def test_point_events_three_in_one_cell():
     xy = np.array([[0.0, 0.0], [5000.0, 0.0]])
-    recs = [EventRecord(timestamp=T0 + 1200.0 + i, x=10.0, y=-5.0) for i in range(3)]
-    counts, report = aggregate_point_events(EventStream("tweet", recs), xy, _grid())
+    events = _events("tweet", *[(T0 + 1200.0 + i, 10.0, -5.0, "", 1.0) for i in range(3)])
+    counts = aggregate_point_events(events, xy, _grid())
     assert counts[0, 1] == 3.0
-    assert counts.sum() == 3.0 == report["assigned"]
+    assert counts.sum() == 3.0
 
 
 def test_point_events_boundary_belongs_to_ending_interval():
     xy = np.array([[0.0, 0.0], [5000.0, 0.0]])
-    recs = [EventRecord(timestamp=T0 + 1800.0, x=0.0, y=0.0)]
-    counts, _ = aggregate_point_events(EventStream("report_311", recs), xy, _grid())
+    counts = aggregate_point_events(_events("report_311", (T0 + 1800.0, 0.0, 0.0, "", 1.0)),
+                                    xy, _grid())
     assert counts[0, 1] == 1.0 and counts.sum() == 1.0
 
 
-def test_point_events_conservation_with_out_of_range():
+def test_point_events_conservation_with_out_of_range(caplog):
     xy = np.array([[0.0, 0.0]])
-    recs = [
-        EventRecord(timestamp=T0 - 9000.0, x=0.0, y=0.0),     # before the grid
-        EventRecord(timestamp=T0 + 10.0, x=0.0, y=0.0),
-        EventRecord(timestamp=T0 + 1e7, x=0.0, y=0.0),        # after the grid
-    ]
-    counts, report = aggregate_point_events(EventStream("report_311", recs), xy, _grid())
+    events = _events("report_311",
+                     (T0 - 9000.0, 0.0, 0.0, "", 1.0),     # before the grid
+                     (T0 + 10.0, 0.0, 0.0, "", 1.0),
+                     (T0 + 1e7, 0.0, 0.0, "", 1.0))        # after the grid
+    with caplog.at_level(logging.WARNING):
+        counts = aggregate_point_events(events, xy, _grid())
     assert counts.sum() == 1.0
-    assert report["assigned"] + report["out_of_time_range"] == 3.0
+    assert "report_311: 2 event(s) fell outside the grid time range" in caplog.text
+
+
+def test_point_events_match_a_per_event_loop():
+    # lattice coordinates put many events equally near two or more nodes: the
+    # first such node takes the event, as np.argmin does per event
+    rng = np.random.default_rng(3)
+    xy = rng.integers(0, 4, size=(7, 2)).astype(float)
+    events = _events("tweet", *[(T0 + float(rng.integers(-1800, 8 * 1800)),
+                                 float(rng.integers(0, 4)), float(rng.integers(0, 4)), "",
+                                 float(rng.integers(1, 4))) for _ in range(300)])
+    grid = _grid()
+    expected = np.zeros((7, grid.count))
+    for t, x, y, value in zip(events["t"], events["x"], events["y"], events["value"]):
+        step = math.ceil((t - T0) / 1800.0)
+        if 0 <= step < grid.count:
+            expected[np.argmin(np.hypot(xy[:, 0] - x, xy[:, 1] - y)), step] += value
+    assert np.array_equal(aggregate_point_events(events, xy, grid), expected)
 
 
 # -- activity -----------------------------------------------------------------------
 
 
 def test_activity_constant_tile():
-    recs = [EventRecord(timestamp=T0 + 4 * HOUR * k, value=0.5, tile_id="t0")
-            for k in range(3)]
-    out = aggregate_activity(EventStream("activity_tile", recs), {"t0": "n0"},
-                             ["n0"], TimeGrid(start=T0, count=16))
+    events = _events("activity_tile", *[(T0 + 4 * HOUR * k, np.nan, np.nan, "t0", 0.5)
+                                        for k in range(3)])
+    out = aggregate_activity(events, {"t0": "n0"}, ["n0"], TimeGrid(start=T0, count=16))
     np.testing.assert_allclose(out[0], 0.5)
 
 
 def test_activity_mean_of_member_tiles():
-    recs = [EventRecord(timestamp=T0, value=0.2, tile_id="a"),
-            EventRecord(timestamp=T0, value=0.6, tile_id="b"),
-            EventRecord(timestamp=T0 + 4 * HOUR, value=0.2, tile_id="a"),
-            EventRecord(timestamp=T0 + 4 * HOUR, value=0.6, tile_id="b")]
-    out = aggregate_activity(EventStream("activity_tile", recs),
-                             {"a": "n0", "b": "n0"}, ["n0"], _grid())
+    events = _events("activity_tile", (T0, np.nan, np.nan, "a", 0.2),
+                     (T0, np.nan, np.nan, "b", 0.6), (T0 + 4 * HOUR, np.nan, np.nan, "a", 0.2),
+                     (T0 + 4 * HOUR, np.nan, np.nan, "b", 0.6))
+    out = aggregate_activity(events, {"a": "n0", "b": "n0"}, ["n0"], _grid())
     np.testing.assert_allclose(out[0], 0.4)
 
 
 def test_activity_linear_interpolation_between_windows():
     # windows at 0.0 then 1.0, four hours apart: midpoint grid step reads 0.5
-    recs = [EventRecord(timestamp=T0, value=0.0, tile_id="t"),
-            EventRecord(timestamp=T0 + 4 * HOUR, value=1.0, tile_id="t")]
-    out = aggregate_activity(EventStream("activity_tile", recs), {"t": "n0"},
-                             ["n0"], TimeGrid(start=T0, count=9))
+    events = _events("activity_tile", (T0, np.nan, np.nan, "t", 0.0),
+                     (T0 + 4 * HOUR, np.nan, np.nan, "t", 1.0))
+    out = aggregate_activity(events, {"t": "n0"}, ["n0"], TimeGrid(start=T0, count=9))
     assert out[0, 4] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_activity_uncovered_node_zero_with_warning(caplog):
-    recs = [EventRecord(timestamp=T0, value=0.3, tile_id="t"),
-            EventRecord(timestamp=T0 + 4 * HOUR, value=0.3, tile_id="t")]
+    events = _events("activity_tile", (T0, np.nan, np.nan, "t", 0.3),
+                     (T0 + 4 * HOUR, np.nan, np.nan, "t", 0.3))
     with caplog.at_level(logging.WARNING):
-        out = aggregate_activity(EventStream("activity_tile", recs), {"t": "n0"},
-                                 ["n0", "n1"], _grid())
+        out = aggregate_activity(events, {"t": "n0"}, ["n0", "n1"], _grid())
     assert np.all(out[1] == 0.0)
     assert "coverage" in caplog.text
 
@@ -240,14 +320,16 @@ def test_activity_uncovered_node_zero_with_warning(caplog):
 # a tile mapped to a node id outside the node list ended in a KeyError traceback
 @pytest.mark.parametrize("tile_to_node", [{"t": "n9"}, {}], ids=["unknown_node", "no_entry"])
 def test_activity_rejects_a_tile_of_no_known_node(tile_to_node):
-    recs = [EventRecord(timestamp=T0, value=0.3, tile_id="t")]
+    events = _events("activity_tile", (T0, np.nan, np.nan, "t", 0.3))
     with pytest.raises(UsageError, match="'t'"):
-        aggregate_activity(EventStream("activity_tile", recs), tile_to_node, ["n0"], _grid())
+        aggregate_activity(events, tile_to_node, ["n0"], _grid())
 
 
-def test_activity_rejects_out_of_range_index():
-    with pytest.raises(DomainError):
-        EventStream("activity_tile", [EventRecord(timestamp=T0, value=1.2, tile_id="t")])
+def test_activity_rejects_out_of_range_index(tmp_path):
+    _write(tmp_path, "events.csv", ["kind,timestamp,x,y,tile_id,value",
+                                    "activity_tile,2022-05-01T00:00:00+00:00,,,t,1.2"])
+    with pytest.raises(DomainError, match="events.csv line 2: "):
+        load_events(tmp_path)
 
 
 # -- labels -----------------------------------------------------------------------
@@ -258,20 +340,20 @@ def test_activity_rejects_out_of_range_index():
     (0.0, 0), (0.01, 1), (0.10, 1), (0.100001, 2), (1.0, 2),
 ])
 def test_label_thresholds(fraction, expected):
-    assert label_flood_class(fraction) == expected
+    assert label_flood_classes(fraction) == expected
 
 
 def test_label_rejects_out_of_range():
     with pytest.raises(DomainError):
-        label_flood_class(-0.1)
+        label_flood_classes(-0.1)
     with pytest.raises(DomainError):
-        label_flood_class(1.5)
+        label_flood_classes(np.array([0.5, 1.5]))
 
 
 def test_labels_vectorized_matches_scalar_and_monotone():
     fr = np.linspace(0.0, 1.0, 101)
     vec = label_flood_classes(fr)
-    assert list(vec) == [label_flood_class(f) for f in fr]
+    assert list(vec) == [int(label_flood_classes(f)) for f in fr]
     assert np.all(np.diff(vec) >= 0)
 
 
@@ -328,23 +410,22 @@ def test_end_to_end_resample_then_accumulate_hand_fixture():
     # readings already on the grid: resample is the identity, rolling sum by hand
     grid = TimeGrid(start=T0, count=10)
     increments = np.array([0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 1.0])
-    readings = [GaugeReading(timestamp=float(ts), rain_increment_mm=float(v),
-                             water_elevation_m=1.0)
-                for ts, v in zip(grid.times(), increments)]
-    gauge = _gauge("g", 0.0, 0.0, readings=readings)
-    ts, rain, _ = gauge.series()
-    on_grid = resample_series(ts, rain, grid.times())
-    out = accumulate_rainfall(on_grid, 4)
+    readings = np.array([(g, t, v, 1.0) for g in (0, 1) for t, v in zip(grid.times(), increments)],
+                        dtype=READING_DTYPE)
+    rain, _ = gauge_channels(_gauges(("g", 0.0, 0.0), ("h", 50.0, 0.0)), readings,
+                             np.zeros((1, 2)), grid.times())
+    out = accumulate_rainfall(rain, 4)
     hand = [0.0, 1.0, 3.0, 3.0, 3.0, 5.0, 3.0, 3.0, 3.0, 1.0]
-    np.testing.assert_array_equal(out, hand)
+    np.testing.assert_array_equal(out[0], hand)
 
 
 def test_count_channels_integer_nonnegative_before_normalization():
     xy = np.array([[0.0, 0.0], [9000.0, 0.0]])
     rng = np.random.default_rng(0)
-    recs = [EventRecord(timestamp=T0 + float(rng.integers(1, 6 * 1800)),
-                        x=float(rng.uniform(0, 9000)), y=0.0) for _ in range(40)]
-    counts, _ = aggregate_point_events(EventStream("report_311", recs), xy, _grid())
+    events = _events("report_311", *[(T0 + float(rng.integers(1, 6 * 1800)),
+                                      float(rng.uniform(0, 9000)), 0.0, "", 1.0)
+                                     for _ in range(40)])
+    counts = aggregate_point_events(events, xy, _grid())
     assert np.all(counts >= 0)
     assert np.all(counts == np.round(counts))
 

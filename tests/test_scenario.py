@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from floodnowcast.errors import UsageError
-from floodnowcast.pipeline import label_flood_classes, prepare_from_dir
+from floodnowcast.pipeline import label_flood_classes, prepare_from_dir, save_dataset
 from floodnowcast.scenario import (
     ScenarioConfig,
     generate,
@@ -140,3 +140,36 @@ def test_generate_writes_the_recorded_bytes(tmp_path, seed):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GENERATED_SHA256[seed]}
     assert digests == GENERATED_SHA256[seed]
+
+
+# sha256 of the dataset container `prepare` writes from those scenarios (train
+# span 288), and from the 256-unit, 72-step scenario of seed 0 (train span 40).
+# A rewrite of the pipeline must keep these bytes.
+PREPARED_SHA256 = {
+    "seed-11": (ScenarioConfig(seed=11), 288, {
+        "dataset.bin": "ea35663d59df13177be729a09f5881553ca7c4b0cb27f7a979cd913b87b84633",
+        "dataset.bin.json": "c59d2e0c15628872a7ebc149d9cad130245087dd2fdc98e2698296972a838ded",
+    }),
+    "seed-22": (ScenarioConfig(seed=22), 288, {
+        "dataset.bin": "6d29eaeb6910f3a630cb97aae23e58714feb0142c6e59b5d263da6eaa2e25306",
+        "dataset.bin.json": "c7b5e50330ca55fbf5a3211204c5a172a78462635ce58250405f0d0e71dc56d8",
+    }),
+    "seed-33": (ScenarioConfig(seed=33), 288, {
+        "dataset.bin": "2c36984f620e82efb7d925ca82c7bb2101cae4ec373de8de223616d0d29c44e9",
+        "dataset.bin.json": "73b2f4d8e0f37804b68060164e9904a7a52dcd7b07f121f38b867f66c5f6f5b0",
+    }),
+    "tracts-256": (ScenarioConfig(n_nodes=256, n_timesteps=72, seed=0), 40, {
+        "dataset.bin": "28d3bcb814e82977701e73d94b9096dfbb39e01cb6c2bf09cd934e283b4e0016",
+        "dataset.bin.json": "c01cff578e29fa6d3a2a65abb09b78c2710f842f85e3f472c1bfc88caa20db75",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREPARED_SHA256))
+def test_prepare_writes_the_recorded_bytes(tmp_path, case):
+    cfg, train_steps, expected = PREPARED_SHA256[case]
+    generate(cfg, tmp_path / "scenario")
+    save_dataset(prepare_from_dir(tmp_path / "scenario", train_steps), tmp_path / "dataset.bin")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in expected}
+    assert digests == expected
