@@ -14,8 +14,13 @@ in order:
 4. temporal convolution: ReLU, then a same-padded width-3 channel-mixing
    filter along time, then ReLU, then (during training) dropout.
 
-Everything is built on the autodiff tensors from :mod:`floodnowcast.tensor`,
-so training gradients come from the tape with no hand-derived backward pass.
+Stages 1-3 are kernels: each records one op on the autodiff tape of
+:mod:`floodnowcast.tensor` (temporal attention two, one for the map and one
+for applying it), whose forward runs the numpy arithmetic of the public
+tensor ops it replaces and whose rule replays their backward rules in
+reverse, through the array-level helpers those ops share. Outputs and
+gradients are bitwise those of the composite of public ops. The temporal
+convolution and the head are built from public ops.
 
 Attention score contractions follow the stacked-window form
 
@@ -190,6 +195,27 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 # -- block operations ---------------------------------------------------------
 
 
+def _attention_map(lhs: np.ndarray, rhs: np.ndarray, bias: np.ndarray, gate: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(gate ⊙ sigmoid(lhs @ rhs + bias))`` along the last axis, and
+    the sigmoid it gated: the step both attention maps end with."""
+    score = tc._finite(tc._matmul_data(lhs, rhs), "matmul")
+    score = tc._finite(score + bias, "add")
+    sg = tc._sigmoid_data(score)
+    gated = tc._finite(gate * sg, "mul")
+    return tc._finite(tc._softmax_data(gated, -1)[1], "softmax"), sg
+
+
+def _attention_map_grads(g, out, sg, lhs, rhs, bias_shape, gate) -> tuple:
+    """Gradients of :func:`_attention_map`'s ``(lhs, rhs, bias, gate)``, each
+    op's rule applied in reverse."""
+    g_gate, g_sg = tc._mul_grads(tc._softmax_grad(g, out, 2), gate, sg, gate.shape,
+                                 sg.shape)
+    g_score = tc._sigmoid_grad(g_sg, sg)
+    g_lhs, g_rhs = tc._matmul_grads(g_score, lhs, rhs, lhs.shape, rhs.shape)
+    return g_lhs, g_rhs, tc._unbroadcast(g_score, bias_shape), g_gate
+
+
 def spatial_attention(x: Tensor, blk: STBlockParams) -> Tensor:
     """Row-stochastic node-node attention, shape (B, N, N).
 
@@ -200,12 +226,32 @@ def spatial_attention(x: Tensor, blk: STBlockParams) -> Tensor:
     b, n, c, t = x.shape
     if c != blk.w2.shape[0] or t != blk.w1.shape[0]:
         raise UsageError(f"input {x.shape} does not match spatial attention params")
-    x_w1 = tc.matmul(x, blk.w1.reshape(t, 1)).reshape(b, n, c)
-    lhs = tc.matmul(x_w1, blk.w2)                        # (B, N, T)
-    rhs = tc.matmul(blk.w3.reshape(1, c), x).reshape(b, n, t).swap_last2()  # (B, T, N)
-    score = tc.matmul(lhs, rhs) + blk.b_s                # (B, N, N)
-    gated = blk.p_s * tc.sigmoid(score)
-    return tc.softmax(gated, axis=-1)
+    xd, w2 = x.data, blk.w2.data
+    w1 = blk.w1.data.reshape(t, 1)
+    w3 = blk.w3.data.reshape(1, c)
+    with np.errstate(over="ignore"):   # inf is caught by the finite checks
+        m1 = tc._finite(tc._matmul_data(xd, w1), "matmul")          # (B, N, C, 1)
+        x_w1 = m1.reshape(b, n, c)
+        lhs = tc._finite(tc._matmul_data(x_w1, w2), "matmul")       # (B, N, T)
+        m3 = tc._finite(tc._matmul_data(w3, xd), "matmul")          # (B, N, 1, T)
+        rhs = m3.reshape(b, n, t).transpose((0, 2, 1))              # (B, T, N)
+        out, sg = _attention_map(lhs, rhs, blk.b_s.data, blk.p_s.data)
+    m1_shape, m3_shape, p_s = m1.shape, m3.shape, blk.p_s.data
+    if not x.requires_grad:   # the x gradients read w1 and w3; without them, none
+        w1 = w3 = None
+
+    def rule(g):
+        g_lhs, g_rhs, g_b, g_p = _attention_map_grads(g, out, sg, lhs, rhs, p_s.shape, p_s)
+        g_w3, gx_w3 = tc._matmul_grads(g_rhs.transpose((0, 2, 1)).reshape(m3_shape), w3,
+                                       xd, (1, c), xd.shape)
+        g_x_w1, g_w2 = tc._matmul_grads(g_lhs, x_w1, w2, x_w1.shape, w2.shape)
+        gx_w1, g_w1 = tc._matmul_grads(g_x_w1.reshape(m1_shape), xd, w1, xd.shape, (t, 1))
+        return gx_w3, gx_w1, g_w1.reshape(t), g_w2, g_w3.reshape(c), g_b, g_p
+
+    # x is listed once per path it is read along, in the order the public ops
+    # would have added their gradients: the w3 product first, then the w1 one
+    return tc._make(out, (x, x, blk.w1, blk.w2, blk.w3, blk.b_s, blk.p_s), rule,
+                    "spatial_attention", check=False)
 
 
 def temporal_attention(x: Tensor, blk: STBlockParams) -> Tensor:
@@ -219,21 +265,55 @@ def temporal_attention(x: Tensor, blk: STBlockParams) -> Tensor:
     b, n, c, t = x.shape
     if n != blk.u1.shape[0] or c != blk.u3.shape[0]:
         raise UsageError(f"input {x.shape} does not match temporal attention params")
-    xt = x.transpose((0, 3, 2, 1))                       # (B, T, C, N)
-    xt_u1 = tc.matmul(xt, blk.u1.reshape(n, 1)).reshape(b, t, c)
-    lhs = tc.matmul(xt_u1, blk.u2.swap_last2())          # (B, T, N)
-    rhs = tc.matmul(blk.u3.reshape(1, c), x).reshape(b, n, t)  # (B, N, T)
-    score = tc.matmul(lhs, rhs) + blk.b_e                # (B, T, T)
-    gated = blk.v_e * tc.sigmoid(score)
-    return tc.softmax(gated, axis=-1)
+    xd = x.data
+    xt = xd.transpose((0, 3, 2, 1))                                 # (B, T, C, N)
+    u1 = blk.u1.data.reshape(n, 1)
+    u2t = blk.u2.data.transpose((1, 0))
+    u3 = blk.u3.data.reshape(1, c)
+    with np.errstate(over="ignore"):
+        m1 = tc._finite(tc._matmul_data(xt, u1), "matmul")          # (B, T, C, 1)
+        xt_u1 = m1.reshape(b, t, c)
+        lhs = tc._finite(tc._matmul_data(xt_u1, u2t), "matmul")     # (B, T, N)
+        m3 = tc._finite(tc._matmul_data(u3, xd), "matmul")          # (B, N, 1, T)
+        rhs = m3.reshape(b, n, t)
+        out, sg = _attention_map(lhs, rhs, blk.b_e.data, blk.v_e.data)
+    m1_shape, m3_shape, v_e = m1.shape, m3.shape, blk.v_e.data
+    if not x.requires_grad:   # as in spatial_attention
+        u1 = u3 = None
+
+    def rule(g):
+        g_lhs, g_rhs, g_b, g_v = _attention_map_grads(g, out, sg, lhs, rhs, v_e.shape, v_e)
+        g_u3, gx_u3 = tc._matmul_grads(g_rhs.reshape(m3_shape), u3, xd, (1, c), xd.shape)
+        g_xt_u1, g_u2t = tc._matmul_grads(g_lhs, xt_u1, u2t, xt_u1.shape, u2t.shape)
+        g_xt, g_u1 = tc._matmul_grads(g_xt_u1.reshape(m1_shape), xt, u1, xt.shape, (n, 1))
+        gx_t = None if g_xt is None else g_xt.transpose((0, 3, 2, 1))
+        return gx_u3, gx_t, g_u1.reshape(n), g_u2t.transpose((1, 0)), g_u3.reshape(c), \
+            g_b, g_v
+
+    # as in spatial_attention: the u3 product's gradient adds before the u1 one's
+    return tc._make(out, (x, x, blk.u1, blk.u2, blk.u3, blk.b_e, blk.v_e), rule,
+                    "temporal_attention", check=False)
 
 
 def apply_temporal_attention(x: Tensor, e_norm: Tensor) -> Tensor:
     """Re-weight the window along time: out[..., t] = sum_j E[t, j] x[..., j]."""
     b, n, c, t = x.shape
-    flat = x.reshape(b, n * c, t)
-    out = tc.matmul(flat, e_norm.swap_last2())           # (B, N*C, T)
-    return out.reshape(b, n, c, t)
+    flat = x.data.reshape(b, n * c, t)
+    e_t = e_norm.data.transpose((0, 2, 1))
+    with np.errstate(over="ignore"):
+        out = tc._finite(tc._matmul_data(flat, e_t), "matmul")     # (B, N*C, T)
+    out_shape, e_shape = out.shape, e_t.shape
+    flat_kept = flat if e_norm.requires_grad else None
+    e_t = e_t if x.requires_grad else None
+
+    def rule(g):
+        g_flat, g_e = tc._matmul_grads(g.reshape(out_shape), flat_kept, e_t, (b, n * c, t),
+                                       e_shape)
+        return (None if g_flat is None else g_flat.reshape(b, n, c, t),
+                None if g_e is None else g_e.transpose((0, 2, 1)))
+
+    return tc._make(out.reshape(b, n, c, t), (x, e_norm), rule, "apply_temporal_attention",
+                    check=False)
 
 
 def cheb_graph_conv(x: Tensor, terms: Sequence[np.ndarray], s_norm: Tensor,
@@ -244,21 +324,74 @@ def cheb_graph_conv(x: Tensor, terms: Sequence[np.ndarray], s_norm: Tensor,
     ``terms`` are ``T_1 .. T_{K-1}``, one fewer than ``theta``: ``T_0 = I``
     reads no matrix, since its gated term is the row scaling ``diag(S) X``.
     That term is computed as one, which is exact (each output has a single
-    nonzero product term), instead of as an N x N matrix product.
+    nonzero product term), instead of as an N x N matrix product. A
+    non-finite ``T_k`` shows as a non-finite gate, since ``S`` is a softmax.
     """
     if len(terms) != len(theta) - 1:
         raise UsageError(f"got {len(terms)} Chebyshev terms T_1.. and {len(theta)} "
                          f"theta matrices; theta needs one more, for T_0")
     b, n, c, t = x.shape
+    s = s_norm.data
+    terms = [np.asarray(t_k, dtype=np.float64) for t_k in terms]
     # fold time into the feature axis so each filter order is one batched matmul
-    flat = x.transpose((0, 1, 3, 2)).reshape(b, n, t * c)   # (B, N, T*C)
-    diag = tc.diagonal(s_norm).reshape(s_norm.shape[:-1] + (1,))  # (B or 1, N, 1)
-    acc = tc.matmul((diag * flat).reshape(b, n, t, c), theta[0])  # (B, N, T, C_out)
-    for t_k, theta_k in zip(terms, theta[1:]):
-        gate = Tensor(t_k) * s_norm                      # (B or 1, N, N)
-        mixed = tc.matmul(gate, flat).reshape(b, n, t, c)
-        acc = acc + tc.matmul(mixed, theta_k)
-    return acc.transpose((0, 1, 3, 2))                   # (B, N, C_out, T)
+    flat = x.data.transpose((0, 1, 3, 2)).reshape(b, n, t * c)     # (B, N, T*C)
+    idx = np.arange(n)
+    diag = s[..., idx, idx].reshape(s.shape[:-1] + (1,))            # (B or 1, N, 1)
+    with np.errstate(over="ignore"):
+        scaled = tc._finite(diag * flat, "mul").reshape(b, n, t, c)
+        acc = tc._finite(tc._matmul_data(scaled, theta[0].data), "matmul")
+        gates, mixed = [], []                                       # per term T_1 ..
+        for t_k, theta_k in zip(terms, theta[1:]):
+            gates.append(tc._finite(t_k * s, "mul"))                # (B or 1, N, N)
+            mixed.append(tc._finite(tc._matmul_data(gates[-1], flat), "matmul")
+                         .reshape(b, n, t, c))
+            acc = tc._finite(acc + tc._finite(tc._matmul_data(mixed[-1], theta_k.data),
+                                              "matmul"), "add")
+    need_x, need_s = x.requires_grad, s_norm.requires_grad
+    # keep what each op's rule reads: the gates and the diagonal for x's
+    # gradient, flat and T_k for S's, theta only when either is needed
+    kept_terms = terms if need_s else [None] * len(terms)
+    diag_shape, flat_shape, s_shape = diag.shape, flat.shape, s.shape
+    if not need_x:
+        diag, gates = None, [None] * len(gates)
+    flat = flat if need_s else None
+    thetas = [th.data if need_x or need_s else None for th in theta]
+    theta_shapes = [th.shape for th in theta]
+
+    def rule(g):
+        g_acc = g.transpose((0, 1, 3, 2))
+        g_flat, g_s, g_theta = None, [], [None] * len(theta_shapes)
+        for k in range(len(mixed) - 1, -1, -1):   # the reverse of recording order
+            g_mixed, g_theta[k + 1] = tc._matmul_grads(g_acc, mixed[k], thetas[k + 1],
+                                                       mixed[k].shape, theta_shapes[k + 1])
+            g_gate = g_fk = None
+            if g_mixed is not None:
+                g_gate, g_fk = tc._matmul_grads(g_mixed.reshape(flat_shape), gates[k], flat,
+                                                s_shape, flat_shape)
+            if g_fk is not None:
+                g_flat = g_fk if g_flat is None else g_flat + g_fk
+            g_s.append(None if g_gate is None else
+                       tc._mul_grads(g_gate, kept_terms[k], None, kept_terms[k].shape,
+                                     s_shape)[1])
+        g_scaled, g_theta[0] = tc._matmul_grads(g_acc, scaled, thetas[0], scaled.shape,
+                                                theta_shapes[0])
+        g_x = g_sd = None
+        if g_scaled is not None:
+            g_d, g_f0 = tc._mul_grads(g_scaled.reshape(flat_shape), diag, flat, diag_shape,
+                                      flat_shape)
+            if g_f0 is not None:
+                g_flat = g_f0 if g_flat is None else g_flat + g_f0
+                g_x = g_flat.reshape(b, n, t, c).transpose((0, 1, 3, 2))
+            if g_d is not None:
+                g_sd = np.zeros(s_shape)
+                g_sd[..., idx, idx] = g_d.reshape(diag_shape[:-1])
+        return (g_x, *g_s, g_sd, *g_theta)
+
+    # S is listed once per gate, last term first, then once for the diagonal:
+    # the order the public ops would have added its gradients in
+    return tc._make(acc.transpose((0, 1, 3, 2)),
+                    (x, *[s_norm] * len(terms), s_norm, *theta), rule, "cheb_graph_conv",
+                    check=False)
 
 
 def temporal_conv(y: Tensor, phi: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:

@@ -424,6 +424,11 @@ def load_gauges(directory: Path) -> tuple[np.ndarray, np.ndarray]:
     readings = np.array(convert_rows(
         _read_csv(path, ["gauge_id", "timestamp", "rain_increment_mm", "water_elevation_m"]),
         reading, path), dtype=READING_DTYPE)
+    counts = np.bincount(readings["gauge"], minlength=len(gauges))
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        raise UsageError(f"{path}: gauge {gauges['id'][short[0]]} has {counts[short[0]]} "
+                         f"reading(s); need at least 2")
     return gauges, readings[np.lexsort((readings["t"], readings["gauge"]))]
 
 
@@ -451,11 +456,17 @@ def load_events(directory: Path) -> np.ndarray:
 
 
 def load_tile_map(directory: Path) -> dict[str, str]:
+    """``tiles.csv`` as tile id -> node id; a second row for a tile id is an error."""
     path = directory / "tiles.csv"
-    if not path.exists():
-        return {}
-    return dict(convert_rows(_read_csv(path, ["tile_id", "node_id"]),
-                             lambda r: (r["tile_id"], r["node_id"]), path))
+    tiles: dict[str, str] = {}
+
+    def tile(r):
+        if r["tile_id"] in tiles:
+            raise UsageError(f"a second row for tile {r['tile_id']}")
+        tiles[r["tile_id"]] = r["node_id"]
+
+    convert_rows(_read_csv(path, ["tile_id", "node_id"]), tile, path)
+    return tiles
 
 
 def load_road_status(directory: Path, node_ids: Sequence[str]

@@ -294,10 +294,17 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _finite(arr: np.ndarray, op: str) -> np.ndarray:
+    """``arr``, after checking that it holds no NaN or Inf."""
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{op} produced non-finite values")
+    return arr
+
+
 def _make(out_data: np.ndarray, inputs: tuple, rule: Callable, op: str,
           check: bool = True) -> Tensor:
-    if check and not np.all(np.isfinite(out_data)):
-        raise DomainError(f"{op} produced non-finite values")
+    if check:
+        _finite(out_data, op)
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(out_data, track)
@@ -346,10 +353,17 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def rule(g):
-        return (_unbroadcast(g * bd, a_shape) if need_a else None,
-                _unbroadcast(g * ad, b_shape) if need_b else None)
+        return _mul_grads(g, ad, bd, a_shape, b_shape)
 
     return _make(out, (a, b), rule, "mul")
+
+
+def _mul_grads(g: np.ndarray, ad: Optional[np.ndarray], bd: Optional[np.ndarray],
+               a_shape: tuple, b_shape: tuple) -> tuple:
+    """Gradients of ``a * b``; ``ad`` is kept only when ``b`` needs a gradient
+    and ``bd`` only when ``a`` does, so a None operand skips the other's."""
+    return (_unbroadcast(g * bd, a_shape) if bd is not None else None,
+            _unbroadcast(g * ad, b_shape) if ad is not None else None)
 
 
 def _reduce(a: Tensor, axis, mean: bool) -> Tensor:
@@ -419,6 +433,38 @@ def _matmul_per_leading_index(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matmul_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """``ad @ bd`` as :func:`matmul` computes it forward: sorted terms under
+    :func:`canonical_reductions`, else one GEMM per leading index of a
+    batched ``ad`` times a 2-D ``bd``, else ``np.matmul``. Callers ignore
+    overflow warnings around it: inf is caught by their finite checks."""
+    if _canonical():
+        return sorted_matmul(ad, bd)
+    if ad.ndim > 2 and bd.ndim == 2:
+        return _matmul_per_leading_index(ad, bd)
+    return np.matmul(ad, bd)
+
+
+def _matmul_grads(g: np.ndarray, ad: Optional[np.ndarray], bd: Optional[np.ndarray],
+                  a_shape: tuple, b_shape: tuple) -> tuple:
+    """Gradients of ``a @ b``, with :func:`_mul_grads`' convention for a None
+    operand. A batched ``a`` times a 2-D ``b`` takes one 2-D GEMM over all
+    folded rows for each gradient."""
+    ga = gb = None
+    if len(a_shape) > 2 and len(b_shape) == 2:
+        g2 = g.reshape(-1, g.shape[-1])
+        if bd is not None:
+            ga = (g2 @ bd.T).reshape(a_shape)
+        if ad is not None:
+            gb = ad.reshape(-1, a_shape[-1]).T @ g2
+        return (ga, gb)
+    if bd is not None:
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape)
+    if ad is not None:
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
+    return (ga, gb)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy semantics on the trailing two axes.
 
@@ -435,33 +481,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise UsageError(f"matmul needs operands of rank >= 2, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise UsageError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    fold = ad.ndim > 2 and bd.ndim == 2
-
     with np.errstate(over="ignore"):
-        if _canonical():
-            out = sorted_matmul(ad, bd)
-        elif fold:
-            out = _matmul_per_leading_index(ad, bd)
-        else:
-            out = np.matmul(ad, bd)
-    need_a, need_b = a.requires_grad, b.requires_grad
+        out = _matmul_data(ad, bd)
     a_shape, b_shape = ad.shape, bd.shape
-    ad, bd = (ad if need_b else None), (bd if need_a else None)   # as in _mul
+    ad, bd = (ad if b.requires_grad else None), (bd if a.requires_grad else None)
 
     def rule(g):
-        ga = gb = None
-        if fold:
-            g2 = g.reshape(-1, g.shape[-1])
-            if need_a:
-                ga = (g2 @ bd.T).reshape(a_shape)
-            if need_b:
-                gb = ad.reshape(-1, a_shape[-1]).T @ g2
-            return (ga, gb)
-        if need_a:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape)
-        if need_b:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
-        return (ga, gb)
+        return _matmul_grads(g, ad, bd, a_shape, b_shape)
 
     return _make(out, (a, b), rule, "matmul")
 
@@ -480,30 +506,48 @@ def relu(t: Tensor) -> Tensor:
     return _make(np.maximum(t.data, 0.0), (t,), rule, "relu", check=False)
 
 
-def sigmoid(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    x = t.data
+def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    out = np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * out * (1.0 - out)
+
+
+def sigmoid(t: Tensor) -> Tensor:
+    t = _as_tensor(t)
+    out = _sigmoid_data(t.data)
 
     def rule(g):
-        return (g * out * (1.0 - out),)
+        return (_sigmoid_grad(g, out),)
 
     return _make(out, (t,), rule, "sigmoid", check=False)
 
 
-def _normalised_exp(t: Tensor, axis: int, op: str
+def _normalised_exp(x: np.ndarray, axis: int, op: str
                     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The step both softmaxes share: the axis (checked against ``t``), the
+    """The step both softmaxes share: the axis (checked against ``x``), the
     max-shifted input, its exp and the sum of that exp along the axis."""
-    if not -t.ndim <= axis < t.ndim:
-        raise UsageError(f"{op} axis {axis} out of range for rank {t.ndim}")
-    axis %= t.ndim
-    shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
+    if not -x.ndim <= axis < x.ndim:
+        raise UsageError(f"{op} axis {axis} out of range for rank {x.ndim}")
+    axis %= x.ndim
+    shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return axis, shifted, e, _forward_sum(e, axis, keepdims=True)
+
+
+def _softmax_data(x: np.ndarray, axis: int) -> tuple[int, np.ndarray]:
+    """The checked axis and the softmax of ``x`` along it."""
+    axis, _, e, denom = _normalised_exp(x, axis, "softmax")
+    return axis, e / denom
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    dot = np.sum(g * out, axis=axis, keepdims=True)
+    return out * (g - dot)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -513,19 +557,17 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     inputs up to ~1e3 in magnitude).
     """
     t = _as_tensor(t)
-    axis, _, e, denom = _normalised_exp(t, axis, "softmax")
-    out = e / denom
+    axis, out = _softmax_data(t.data, axis)
 
     def rule(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        return (_softmax_grad(g, out, axis),)
 
     return _make(out, (t,), rule, "softmax")
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     t = _as_tensor(t)
-    axis, shifted, e, denom = _normalised_exp(t, axis, "log_softmax")
+    axis, shifted, e, denom = _normalised_exp(t.data, axis, "log_softmax")
     out = shifted - np.log(denom)
     sm = e / denom
 
@@ -577,10 +619,10 @@ def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
         raise UsageError(f"input channels {x.shape} do not match kernel {kernel.shape}")
     tlen = x.shape[-1]
     pad = width // 2
-    xp = np.pad(x.data, [(0, 0)] * (x.ndim - 1) + [(pad, pad)])
     kd = kernel.data
-    # time-major layout (..., T + 2*pad, C_in) so each tap is one matmul
-    xt = np.ascontiguousarray(np.swapaxes(xp, -1, -2))
+    # zero-padded time-major layout (..., T + 2*pad, C_in) so each tap is one matmul
+    xt = np.zeros(x.shape[:-2] + (tlen + 2 * pad, c_in))
+    xt[..., pad:pad + tlen, :] = np.swapaxes(x.data, -1, -2)
     out_t = np.zeros(x.shape[:-2] + (tlen, c_out))
     with np.errstate(over="ignore"):
         for w in range(width):
@@ -597,7 +639,7 @@ def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
             gxt = np.zeros(xt_shape)
             for w in range(width):
                 gxt[..., w:w + tlen, :] += gt @ kd[w].T
-            gx = np.ascontiguousarray(np.swapaxes(gxt, -1, -2)[..., pad:pad + tlen])
+            gx = np.swapaxes(gxt[..., pad:pad + tlen, :], -1, -2)
         if need_k:
             gk = np.zeros((width, c_in, c_out))
             g2 = gt.reshape(-1, c_out)

@@ -673,11 +673,12 @@ def test_road_status_row_repeating_a_node_and_time_exits_2(workspace, tmp_path, 
 
 
 # a repeated gauge id replaced the first gauge (exit 0); a repeated reading exited 2
-# naming no line
+# naming no line; a repeated tile id moved the tile to the later row's node (exit 0)
 @pytest.mark.parametrize("name,repeat,message", [
     ("gauges.csv", lambda row: row[:1] + ["1.0"] + row[2:], "a second row for gauge "),
     ("gauge_readings.csv", lambda row: row[:2] + ["9.0", "9.0"], "a second reading of gauge "),
-], ids=["gauge_id", "gauge_reading"])
+    ("tiles.csv", lambda row: row[:1] + ["n005"], "a second row for tile "),
+], ids=["gauge_id", "gauge_reading", "tile_id"])
 def test_scenario_csv_row_repeating_a_key_exits_2(workspace, tmp_path, capsys, name, repeat,
                                                    message):
     shutil.copytree(workspace / "scen", tmp_path / "scen")
@@ -689,6 +690,33 @@ def test_scenario_csv_row_repeating_a_key_exits_2(workspace, tmp_path, capsys, n
     err = _assert_usage_error(capsys, ["prepare", "--scenario", str(tmp_path / "scen"),
                                        "--out", str(tmp_path / "o")])
     assert f"{name} line {len(rows) + 1}: {message}{rows[1][0]}" in err
+
+
+def test_missing_tiles_csv_exits_3_naming_it(workspace, tmp_path, capsys):
+    # it was read as an empty map, and the first activity row then failed naming
+    # neither the file nor the line
+    shutil.copytree(workspace / "scen", tmp_path / "scen")
+    (tmp_path / "scen" / "tiles.csv").unlink()
+    assert main(["prepare", "--scenario", str(tmp_path / "scen"),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O failure: ") and "tiles.csv" in err
+
+
+def test_gauge_with_one_reading_exits_2_naming_the_file_and_gauge(workspace, tmp_path,
+                                                                   capsys):
+    # it exited 2 with "need at least 2 readings, got 1", naming neither
+    shutil.copytree(workspace / "scen", tmp_path / "scen")
+    path = tmp_path / "scen" / "gauge_readings.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    gauge = rows[1][0]
+    kept = [row for row in rows[1:] if row[0] != gauge]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:2] + kept)
+    err = _assert_usage_error(capsys, ["prepare", "--scenario", str(tmp_path / "scen"),
+                                       "--out", str(tmp_path / "o")])
+    assert f"gauge_readings.csv: gauge {gauge} has 1 reading(s); need at least 2" in err
 
 
 def test_road_status_missing_row_exits_2(workspace, tmp_path, capsys):

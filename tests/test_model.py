@@ -397,17 +397,18 @@ def test_a_training_tape_holds_only_what_backward_reads():
 
 def test_arrays_no_rule_reads_are_freed_during_forward(monkeypatch):
     # the ReLU inputs (Chebyshev sums, temporal conv outputs) and the attention
-    # scores (sigmoid inputs)
+    # scores (sigmoid inputs, inside the attention kernels)
     freed = []
 
     def watching(op):
         def wrapped(t):
-            freed.append(weakref.ref(t.data if t.data.base is None else t.data.base))
+            a = t.data if isinstance(t, Tensor) else t
+            freed.append(weakref.ref(a if a.base is None else a.base))
             return op(t)
         return wrapped
 
     monkeypatch.setattr(tc, "relu", watching(tc.relu))
-    monkeypatch.setattr(tc, "sigmoid", watching(tc.sigmoid))
+    monkeypatch.setattr(tc, "_sigmoid_data", watching(tc._sigmoid_data))
     _, graph, params, x = _setup(n=5, seed=72, channels=(4, 4))
     with Tape() as tape:
         logits, _ = forward(x, graph, params, training=True)

@@ -83,8 +83,10 @@ def test_nearest_two_gauges_tie_breaks_by_id(tmp_path):
     # gauges.csv lists them out of id order; load_gauges sorts by id
     _write(tmp_path, "gauges.csv", ["id,x,y,threshold", "z,100.0,0.0,3.0",
                                     "a,-100.0,0.0,3.0", "m,0.0,900.0,3.0"])
+    # load_gauges needs at least 2 readings of every gauge
     _write(tmp_path, "gauge_readings.csv",
-           ["gauge_id,timestamp,rain_increment_mm,water_elevation_m"])
+           ["gauge_id,timestamp,rain_increment_mm,water_elevation_m"]
+           + [f"{g},2022-05-01T0{h}:00:00+00:00,0.0,1.0" for g in "zam" for h in (0, 1)])
     gauges, _ = load_gauges(tmp_path)
     nearest, _ = nearest_two_gauges(np.zeros((1, 2)), _xy(gauges))
     assert list(gauges["id"][nearest[0]]) == ["a", "z"]
