@@ -348,39 +348,48 @@ def cheb_graph_conv(x: Tensor, terms: Sequence[np.ndarray], s_norm: Tensor,
             acc = tc._finite(acc + tc._finite(tc._matmul_data(mixed[-1], theta_k.data),
                                               "matmul"), "add")
     need_x, need_s = x.requires_grad, s_norm.requires_grad
-    # keep what each op's rule reads: the gates and the diagonal for x's
-    # gradient, flat and T_k for S's, theta only when either is needed
+    # keep what each op's rule reads: the gates for x's gradient, T_k for S's,
+    # theta only when either is needed. flat and scaled are rebuilt from x.data
+    # and the diagonal by the forward's own expressions, so the bits are the
+    # same; with attention on, spatial attention's rule holds x.data already.
     kept_terms = terms if need_s else [None] * len(terms)
     diag_shape, flat_shape, s_shape = diag.shape, flat.shape, s.shape
     if not need_x:
-        diag, gates = None, [None] * len(gates)
-    flat = flat if need_s else None
+        gates = [None] * len(gates)
+    xd = x.data
     thetas = [th.data if need_x or need_s else None for th in theta]
     theta_shapes = [th.shape for th in theta]
 
     def rule(g):
         g_acc = g.transpose((0, 1, 3, 2))
+        flat = xd.transpose((0, 1, 3, 2)).reshape(flat_shape)
         g_flat, g_s, g_theta = None, [], [None] * len(theta_shapes)
         for k in range(len(mixed) - 1, -1, -1):   # the reverse of recording order
             g_mixed, g_theta[k + 1] = tc._matmul_grads(g_acc, mixed[k], thetas[k + 1],
                                                        mixed[k].shape, theta_shapes[k + 1])
+            mixed[k] = None   # the tape runs this rule once
             g_gate = g_fk = None
             if g_mixed is not None:
-                g_gate, g_fk = tc._matmul_grads(g_mixed.reshape(flat_shape), gates[k], flat,
-                                                s_shape, flat_shape)
+                g_gate, g_fk = tc._matmul_grads(g_mixed.reshape(flat_shape), gates[k],
+                                                flat if need_s else None, s_shape, flat_shape)
+            gates[k] = g_mixed = None
             if g_fk is not None:
-                g_flat = g_fk if g_flat is None else g_flat + g_fk
+                g_flat = g_fk if g_flat is None else np.add(g_flat, g_fk, out=g_flat)
+            del g_fk
             g_s.append(None if g_gate is None else
                        tc._mul_grads(g_gate, kept_terms[k], None, kept_terms[k].shape,
                                      s_shape)[1])
+        scaled = (diag * flat).reshape(b, n, t, c)
         g_scaled, g_theta[0] = tc._matmul_grads(g_acc, scaled, thetas[0], scaled.shape,
                                                 theta_shapes[0])
+        del scaled
         g_x = g_sd = None
         if g_scaled is not None:
-            g_d, g_f0 = tc._mul_grads(g_scaled.reshape(flat_shape), diag, flat, diag_shape,
-                                      flat_shape)
+            g_d, g_f0 = tc._mul_grads(g_scaled.reshape(flat_shape), diag if need_x else None,
+                                      flat if need_s else None, diag_shape, flat_shape)
+            del g_scaled
             if g_f0 is not None:
-                g_flat = g_f0 if g_flat is None else g_flat + g_f0
+                g_flat = g_f0 if g_flat is None else np.add(g_flat, g_f0, out=g_flat)
                 g_x = g_flat.reshape(b, n, t, c).transpose((0, 1, 3, 2))
             if g_d is not None:
                 g_sd = np.zeros(s_shape)

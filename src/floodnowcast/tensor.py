@@ -55,7 +55,6 @@ __all__ = [
     "sigmoid",
     "softmax",
     "log_softmax",
-    "diagonal",
     "conv1d_same",
     "sorted_sum",
     "sorted_matmul",
@@ -263,23 +262,6 @@ class Tensor:
             return (g.reshape(old),)
 
         return _make(out, (self,), rule, "reshape", check=False)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        axes = tuple(axes)
-        if sorted(axes) != list(range(self.ndim)):
-            raise UsageError(f"transpose axes {axes} invalid for rank {self.ndim}")
-        inv = tuple(np.argsort(axes))
-        out = self.data.transpose(axes)
-
-        def rule(g):
-            return (g.transpose(inv),)
-
-        return _make(out, (self,), rule, "transpose", check=False)
-
-    def swap_last2(self) -> "Tensor":
-        """Transpose the trailing two axes (matrix transpose on batches)."""
-        axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
-        return self.transpose(axes)
 
     # -- reductions ------------------------------------------------------
 
@@ -507,10 +489,9 @@ def relu(t: Tensor) -> Tensor:
 
 
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below,
+    # with no select, since the numerator is exp(0) = 1 exactly for x >= 0
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -577,22 +558,6 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (t,), rule, "log_softmax")
 
 
-def diagonal(t: Tensor) -> Tensor:
-    """Main diagonal of the trailing two axes: (..., N, N) to (..., N)."""
-    t = _as_tensor(t)
-    if t.ndim < 2 or t.shape[-1] != t.shape[-2]:
-        raise UsageError(f"diagonal needs square trailing axes, got {t.shape}")
-    idx = np.arange(t.shape[-1])
-    shape = t.data.shape
-
-    def rule(g):
-        full = np.zeros(shape)
-        full[..., idx, idx] = g
-        return (full,)
-
-    return _make(t.data[..., idx, idx], (t,), rule, "diagonal", check=False)
-
-
 # -- temporal convolution ---------------------------------------------------
 
 
@@ -633,19 +598,20 @@ def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
     xt, kd = (xt if need_k else None), (kd if need_x else None)   # as in _mul
 
     def rule(g):
+        nonlocal xt
         gt = np.ascontiguousarray(np.swapaxes(np.asarray(g), -1, -2))  # (..., T, C_out)
         gx = gk = None
+        if need_k:   # first, so xt is dropped before gxt is allocated
+            gk = np.zeros((width, c_in, c_out))
+            g2 = gt.reshape(-1, c_out)
+            for w in range(width):
+                gk[w] = xt[..., w:w + tlen, :].reshape(-1, c_in).T @ g2
+            xt = None   # the tape runs this rule once
         if need_x:
             gxt = np.zeros(xt_shape)
             for w in range(width):
                 gxt[..., w:w + tlen, :] += gt @ kd[w].T
             gx = np.swapaxes(gxt[..., pad:pad + tlen, :], -1, -2)
-        if need_k:
-            gk = np.zeros((width, c_in, c_out))
-            g2 = gt.reshape(-1, c_out)
-            for w in range(width):
-                sl = xt[..., w:w + tlen, :].reshape(-1, c_in)
-                gk[w] = sl.T @ g2
         return (gx, gk)
 
     return _make(out, (x, kernel), rule, "conv1d_same")
@@ -668,23 +634,28 @@ class Tape:
 
     Recording order is a topological order of the computation, so replaying
     the backward rules in reverse visits each operation after all of its
-    consumers; every requires_grad leaf receives its gradient exactly once
-    per backward call (``grad`` is replaced, not accumulated across calls).
-    A tape is confined to the thread that created it.
+    consumers; every requires_grad leaf receives its gradient exactly once.
+    A tape is single-use: :meth:`backward` removes each entry before it runs
+    the entry's rule, so the rule, and any array only that rule held, is
+    freed as backward passes it, and a second call raises
+    :class:`UsageError`. A tape is confined to the thread that created it.
 
     The tape holds no intermediate tensor. An entry is the output's node key
     (its index on this tape, also kept in the output's ``_node``), the input
     keys (an index, the requires_grad leaf itself, or None for an input that
     needs no gradient), the backward rule and the op name. A rule keeps only
-    the arrays its own formula reads, so an array that no rule reads is freed
-    as soon as forward drops it. ``keep_inputs`` names the ops whose input
-    tensors the tape also holds, for :meth:`op_inputs`.
+    the arrays its own formula reads, or cheaper ones it rebuilds them from,
+    so an array that no rule reads is freed as soon as forward drops it.
+    Since a rule runs at most once, it may drop what it kept once it has read
+    it. ``keep_inputs`` names the ops whose input tensors the tape also
+    holds, for :meth:`op_inputs`.
     """
 
     def __init__(self, keep_inputs: Sequence[str] = ()):
         self._serial = next(_TAPE_SERIALS)
         self._entries: list[tuple[int, tuple, Callable, str]] = []
         self._kept: dict[str, list[Tensor]] = {op: [] for op in keep_inputs}
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -723,25 +694,31 @@ class Tape:
 
     def backward(self, output: Tensor) -> None:
         """Backpropagate from a scalar output recorded on this tape (an output
-        that no op on it recorded gets a gradient of ones)."""
+        that no op on it recorded gets a gradient of ones). Empties the tape:
+        a second call raises :class:`UsageError`."""
         if output.data.size != 1:
             raise UsageError("backward requires a scalar output")
+        if self._spent:
+            raise UsageError("backward already ran on this tape; record a new one")
+        self._spent = True
         root = self._key(output)
         if not isinstance(root, int):
             output.grad = np.ones_like(output.data)
             return
         grads: dict = {root: np.ones_like(output.data)}   # node index or leaf -> gradient
-        for out, inputs, rule, _ in reversed(self._entries):
-            g = grads.pop(out, None)
-            if g is None:
+        entries = self._entries
+        while entries:
+            out, inputs, rule, _ = entries.pop()   # rebinding rule frees the previous one
+            if out not in grads:
                 continue
-            for key, gt in zip(inputs, rule(g)):
+            for key, gt in zip(inputs, rule(grads.pop(out))):
                 if gt is None or key is None:
                     continue
                 if key in grads:
                     grads[key] = grads[key] + gt
                 else:
                     grads[key] = np.asarray(gt, dtype=np.float64)
+            gt = None   # hold the last addend no longer than its rule's run
         for t, g in grads.items():   # only leaves are left
             t.grad = np.broadcast_to(g, t.data.shape).copy() if g.shape != t.data.shape else g
 

@@ -373,12 +373,12 @@ def test_forward_gradients_match_finite_differences_wrt_input():
     assert gradient_check(loss_of_input, x) < 1e-4
 
 
-# A tape that kept every op's output and inputs held 53.7 MiB here, at the
-# benchmark's training micro-batch (8 windows of 50 units).
-def test_a_training_tape_holds_only_what_backward_reads():
-    graph = RegionGraph.build(_nodes(50, seed=70), k=3)
-    params = init_params(ModelConfig(n_nodes=50), 70)
-    x = np.random.default_rng(71).normal(size=(8, 50, 6, 12))
+def _traced_training_step(b, n, seed):
+    """Tape bytes held after a training forward of a (b, n) micro-batch, and
+    the peak bytes over that baseline during its backward (tracemalloc)."""
+    graph = RegionGraph.build(_nodes(n, seed=seed), k=3)
+    params = init_params(ModelConfig(n_nodes=n), seed)
+    x = np.random.default_rng(seed + 1).normal(size=(b, n, 6, 12))
     gc.collect()
     tracemalloc.start()
     try:
@@ -388,11 +388,65 @@ def test_a_training_tape_holds_only_what_backward_reads():
             loss = tc.log_softmax(logits, axis=-1).mean()
         del logits, _
         held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert held <= 0.55 * 53.7 * 2**20, f"{held / 2**20:.1f} MiB"
-    tape.backward(loss)
     assert params.fc_w.grad is not None
+    return held / 2**20, peak / 2**20
+
+
+# A tape that kept every op's output and inputs held 53.7 MiB here, at the
+# benchmark's training micro-batch (8 windows of 50 units); one whose
+# Chebyshev rule kept its time-major input and row-scaled term, 26.3 MiB.
+def test_a_training_tape_holds_only_what_backward_reads():
+    held, _ = _traced_training_step(8, 50, seed=70)
+    assert held <= 22.5, f"{held:.1f} MiB"
+
+
+# A tape that kept every rule until backward ended peaked at 35.2 MiB at
+# 8 x 50 and 29.6 MiB at 1 x 256 (the benchmark's two micro-batches).
+@pytest.mark.parametrize("b, n, bound", [(8, 50, 27.0), (1, 256, 22.5)],
+                         ids=["8x50", "1x256"])
+def test_backward_frees_the_tape_as_it_walks_it(b, n, bound):
+    _, peak = _traced_training_step(b, n, seed=70)
+    assert peak <= bound, f"{peak:.1f} MiB"
+
+
+def test_an_array_only_its_rule_holds_is_freed_once_the_rule_has_run(monkeypatch):
+    # the Chebyshev rule alone holds its mixed terms, the kernel gradient of
+    # conv1d_same alone its padded input; a wrapper on Tape._record, of the
+    # kind the benchmark's tracer installs, watches them from later rules
+    ran, alive_before, alive_later = [], [], []
+    record = Tape._record
+
+    def watching(tape, out, inputs, rule, op):
+        cells = dict(zip(rule.__code__.co_freevars, rule.__closure__ or ()))
+        held = []
+        if op == "cheb_graph_conv":
+            held = cells["mixed"].cell_contents
+        elif op == "conv1d_same":
+            held = [cells["xt"].cell_contents]
+        refs = [weakref.ref(a if a.base is None else a.base) for a in held]
+
+        def run(g):
+            alive_later.append(sum(r() is not None for r in ran))
+            alive_before.append(all(r() is not None for r in refs))
+            grads = rule(g)
+            ran.extend(refs)
+            return grads
+
+        record(tape, out, inputs, run, op)
+
+    monkeypatch.setattr(Tape, "_record", watching)
+    _, graph, params, x = _setup(n=5, seed=73, channels=(4, 4))
+    with Tape() as tape:
+        logits, _ = forward(x, graph, params, training=True)
+        loss = logits.sum()
+    tape.backward(loss)
+    assert len(ran) == 2 * 2 + 2   # T_1 and T_2 in each block, and each block's kernel
+    assert all(alive_before) and not any(alive_later)
 
 
 def test_arrays_no_rule_reads_are_freed_during_forward(monkeypatch):

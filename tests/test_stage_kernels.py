@@ -21,20 +21,43 @@ from floodnowcast.tensor import Tape, Tensor, canonical_reductions, gradient_che
 # -- the composite stages, as the model computed them before the kernels -----------
 
 
+# shape ops the composites read that the model no longer does, with their rules
+def transpose(x, axes):
+    inv = tuple(np.argsort(axes))
+    return tc._make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),), "transpose",
+                    check=False)
+
+
+def swap_last2(x):
+    return transpose(x, tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2))
+
+
+def diagonal(x):
+    """Main diagonal of the trailing two axes: (..., N, N) to (..., N)."""
+    idx, shape = np.arange(x.shape[-1]), x.shape
+
+    def rule(g):
+        full = np.zeros(shape)
+        full[..., idx, idx] = g
+        return (full,)
+
+    return tc._make(x.data[..., idx, idx], (x,), rule, "diagonal", check=False)
+
+
 def oracle_spatial_attention(x, blk):
     b, n, c, t = x.shape
     x_w1 = tc.matmul(x, blk.w1.reshape(t, 1)).reshape(b, n, c)
     lhs = tc.matmul(x_w1, blk.w2)
-    rhs = tc.matmul(blk.w3.reshape(1, c), x).reshape(b, n, t).swap_last2()
+    rhs = swap_last2(tc.matmul(blk.w3.reshape(1, c), x).reshape(b, n, t))
     score = tc.matmul(lhs, rhs) + blk.b_s
     return tc.softmax(blk.p_s * tc.sigmoid(score), axis=-1)
 
 
 def oracle_temporal_attention(x, blk):
     b, n, c, t = x.shape
-    xt = x.transpose((0, 3, 2, 1))
+    xt = transpose(x, (0, 3, 2, 1))
     xt_u1 = tc.matmul(xt, blk.u1.reshape(n, 1)).reshape(b, t, c)
-    lhs = tc.matmul(xt_u1, blk.u2.swap_last2())
+    lhs = tc.matmul(xt_u1, swap_last2(blk.u2))
     rhs = tc.matmul(blk.u3.reshape(1, c), x).reshape(b, n, t)
     score = tc.matmul(lhs, rhs) + blk.b_e
     return tc.softmax(blk.v_e * tc.sigmoid(score), axis=-1)
@@ -42,19 +65,19 @@ def oracle_temporal_attention(x, blk):
 
 def oracle_apply_temporal_attention(x, e_norm):
     b, n, c, t = x.shape
-    out = tc.matmul(x.reshape(b, n * c, t), e_norm.swap_last2())
+    out = tc.matmul(x.reshape(b, n * c, t), swap_last2(e_norm))
     return out.reshape(b, n, c, t)
 
 
 def oracle_cheb_graph_conv(x, terms, s_norm, theta):
     b, n, c, t = x.shape
-    flat = x.transpose((0, 1, 3, 2)).reshape(b, n, t * c)
-    diag = tc.diagonal(s_norm).reshape(s_norm.shape[:-1] + (1,))
+    flat = transpose(x, (0, 1, 3, 2)).reshape(b, n, t * c)
+    diag = diagonal(s_norm).reshape(s_norm.shape[:-1] + (1,))
     acc = tc.matmul((diag * flat).reshape(b, n, t, c), theta[0])
     for t_k, theta_k in zip(terms, theta[1:]):
         mixed = tc.matmul(Tensor(t_k) * s_norm, flat).reshape(b, n, t, c)
         acc = acc + tc.matmul(mixed, theta_k)
-    return acc.transpose((0, 1, 3, 2))
+    return transpose(acc, (0, 1, 3, 2))
 
 
 ORACLES = {
@@ -202,6 +225,25 @@ def test_stage_kernel_gradients_match_finite_differences(stage):
             return (model.cheb_graph_conv(x, terms, flat.reshape(s_norm.shape), blk.theta)
                     * Tensor(np.resize(w.data, (2, 4, 5, 4)))).sum()
         assert gradient_check(loss_of_s, Tensor(s_norm.data.ravel())) < 1e-4
+
+
+def _square_sum(y):
+    return (y * y).sum()
+
+
+# the shape ops above, checked as tests/test_tensor.py checks the public ops
+ORACLE_OPS = {
+    "transpose": lambda t: (swap_last2(t.reshape(4, t.size // 4)) * 2.0).sum(),
+    "diagonal": lambda t: _square_sum(diagonal(t.reshape(1, 4, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_OPS))
+def test_oracle_shape_op_gradients_match_finite_differences(name):
+    for seed in range(10):
+        rng = np.random.default_rng(100 + seed)
+        x = Tensor(rng.normal(scale=0.8, size=16))
+        assert gradient_check(ORACLE_OPS[name], x) < 1e-4, f"{name} seed {seed}"
 
 
 def test_a_batch_one_forward_records_at_most_40_tape_entries():

@@ -12,7 +12,6 @@ from floodnowcast.tensor import (
     Tensor,
     canonical_reductions,
     conv1d_same,
-    diagonal,
     gradient_check,
     log_softmax,
     matmul,
@@ -151,7 +150,6 @@ OPS = {
     "neg": lambda t: (-t).sum(),
     "matmul": lambda t: matmul(t.reshape(4, t.size // 4), Tensor(np.arange(t.size // 4 * 2.0).reshape(t.size // 4, 2))).sum(),
     "matmul_batched": lambda t: matmul(t.reshape(2, 2, t.size // 4), Tensor(np.linspace(-1, 1, t.size // 4 * 3).reshape(t.size // 4, 3))).sum(),
-    "transpose": lambda t: (t.reshape(4, t.size // 4).swap_last2() * 2.0).sum(),
     "reshape": lambda t: t.reshape(t.size).sum(),
     "sum_axis": lambda t: t.reshape(4, t.size // 4).sum(axis=1).mean(),
     "mean_axis": lambda t: (t.reshape(4, t.size // 4).mean(axis=0) * 3.0).sum(),
@@ -159,7 +157,6 @@ OPS = {
     "sigmoid": lambda t: sigmoid(t).sum(),
     "softmax": lambda t: (softmax(t.reshape(4, t.size // 4), axis=1) * Tensor(np.arange(t.size, dtype=float).reshape(4, t.size // 4))).sum(),
     "log_softmax": lambda t: (log_softmax(t.reshape(4, t.size // 4), axis=1) * 0.25).sum(),
-    "diagonal": lambda t: _square_sum(diagonal(t.reshape(1, 4, 4))),
     "conv1d_same": lambda t: conv1d_same(t.reshape(2, 2, t.size // 4), Tensor(np.linspace(-1, 1, 12).reshape(3, 2, 2))).sum(),
     # a 2-D left operand against a batched right one: the w3/u3 row of the attention code
     "matmul_row_batched": lambda t: _square_sum(matmul(t.reshape(1, t.size), Tensor(np.linspace(-1, 1, 2 * t.size * 3).reshape(2, t.size, 3)))),
@@ -258,11 +255,27 @@ def test_backward_requires_scalar():
 def test_backward_on_an_unrecorded_output_gives_ones():
     leaf = Tensor([[2.0]], requires_grad=True)
     const = Tensor(5.0)
-    with Tape() as tape:
-        leaf * 3.0
     for t in (leaf, const):
+        with Tape() as tape:
+            leaf * 3.0
         tape.backward(t)
         np.testing.assert_array_equal(t.grad, np.ones_like(t.data))
+
+
+def test_a_tape_runs_backward_once():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = (x * x).sum()
+    tape.backward(y)
+    assert len(tape) == 0   # every entry was removed as its rule ran
+    with pytest.raises(UsageError, match="already ran"):
+        tape.backward(y)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    with Tape() as tape:   # an output no op recorded spends the tape too
+        x * 3.0
+    tape.backward(x.sum())
+    with pytest.raises(UsageError, match="already ran"):
+        tape.backward(x.sum())
 
 
 def test_a_tensor_recorded_on_another_tape_is_a_leaf():
@@ -380,6 +393,22 @@ def test_sigmoid_matches_two_branch_formula_bitwise():
     want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
     assert sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
+
+
+def test_sigmoid_matches_the_selecting_formula_bitwise():
+    # the formula sigmoid had before it lost its np.where, kept as the oracle
+    def selecting(x):
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        return np.where(x >= 0, 1.0 / d, e / d)
+
+    rng = np.random.default_rng(12)
+    scales = 10.0 ** np.arange(-300.0, 6.0)
+    grid = (scales[:, None] * rng.uniform(0.5, 5.0, size=(scales.size, 40))).ravel()
+    edges = [0.0, 1e-320, 745.2, 1e308, 709.8, 36.7, 1.0]
+    x = np.concatenate([grid, edges, rng.normal(scale=30.0, size=2000)])
+    x = np.concatenate([x, -x])
+    assert sigmoid(Tensor(x)).data.tobytes() == selecting(x).tobytes()
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
